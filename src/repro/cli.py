@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from typing import List, Optional
@@ -258,6 +259,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceServer,
         SynopsisRegistry,
     )
+    from repro.service.config import SERVING_GC_THRESHOLD
 
     if not os.path.isdir(args.snapshot_dir):
         print("error: snapshot dir %r does not exist" % args.snapshot_dir,
@@ -269,6 +271,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.snapshot_dir, check_interval=args.reload_interval
     )
     names = registry.scan()
+    gc.set_threshold(*SERVING_GC_THRESHOLD)
     for name, error in sorted(registry.scan_errors.items()):
         print(
             "warning: skipping snapshot %r: %s" % (name, error),
@@ -858,7 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--reload-interval", type=float, default=0.0,
-        help="seconds between snapshot freshness checks (0 = every request)",
+        help="seconds between snapshot freshness checks (0 = every "
+        "request); each check re-reads and CRC32s the whole snapshot "
+        "and stats its pack",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,

@@ -347,9 +347,10 @@ class SynopsisKernel:
     def query_plan(self, query: Query, tracer=NULL_TRACER):
         """Resolved (tag tables, constraint steps) for one query AST.
 
-        Weakly keyed by the AST object: the parser's ``lru_cache`` and
-        the plan cache keep hot queries alive, so repeat estimates skip
-        constraint derivation entirely.
+        Weakly keyed by the AST object, so a plan lives as long as its
+        AST: the service's plan cache (and, for in-process callers that
+        pass text, the parser's ``lru_cache``) keeps hot queries alive,
+        and repeat estimates skip constraint derivation entirely.
         """
         plan = self._plans.get(query)
         if plan is None:

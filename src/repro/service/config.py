@@ -16,6 +16,15 @@ from typing import Dict, Optional
 
 DEFAULT_PORT = 8750
 
+#: Collector thresholds that the serving daemons (``repro serve`` and
+#: each pool worker) set once, after their registry scan.  A cold
+#: estimate's working state outlives the interpreter's 700-allocation
+#: young generation, so at the default every few dozen cold batches end
+#: in a full collection that walks the whole heap; a 20 000-allocation
+#: young generation lets that state die young.  Library constructors
+#: and :meth:`ServiceServer.start` leave the interpreter defaults alone.
+SERVING_GC_THRESHOLD = (20_000, 10, 10)
+
 
 @dataclass(frozen=True)
 class ServerConfig:

@@ -20,6 +20,7 @@ Everything is thread-safe; the HTTP handler threads call ``observe`` and
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from collections import deque
@@ -30,6 +31,30 @@ from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 DEFAULT_RING_CAPACITY = 4096
 DEFAULT_QPS_WINDOW = 30.0
+
+# Serializes the catch-up of the process-wide collector counters into a
+# registry, so two concurrent scrapes cannot both add the same delta.
+_GC_SYNC_LOCK = threading.Lock()
+
+
+def gc_document() -> Dict[str, object]:
+    """The ``process.gc`` block of ``GET /metrics``: this process's
+    per-generation collector counters and its thresholds.
+
+    ``generations[2].collections`` climbing under cold traffic means
+    full-heap collections, each a stall as long as the heap is large.
+    """
+    return {
+        "generations": [
+            {
+                "collections": stats["collections"],
+                "collected": stats["collected"],
+                "uncollectable": stats["uncollectable"],
+            }
+            for stats in gc.get_stats()
+        ],
+        "threshold": list(gc.get_threshold()),
+    }
 
 
 def _percentile(ordered: Sequence[float], fraction: float) -> float:
@@ -175,6 +200,11 @@ class ServiceMetrics:
             "repro_tier_shed_total",
             "Estimate requests shed per QoS tier.",
             labels=("tier",),
+        )
+        self._gc_collections = make.counter(
+            "repro_gc_collections_total",
+            "Garbage collections run by this process, per generation.",
+            labels=("generation",),
         )
         self._tier_rings: Dict[str, LatencyRing] = {}
         self._ring_capacity = ring_capacity
@@ -330,9 +360,14 @@ class ServiceMetrics:
 
         ``extra_values`` publishes point-in-time numbers (plan-cache
         stats, in-flight gauge) as ``repro_<key>`` gauges before
-        rendering.
+        rendering; ``repro_gc_collections_total`` is brought up to the
+        collector's own counts first.
         """
         self._uptime.set(self._clock() - self._started)
+        with _GC_SYNC_LOCK:
+            for generation, stats in enumerate(gc.get_stats()):
+                child = self._gc_collections.labels(generation=str(generation))
+                child.inc(max(0, stats["collections"] - child.value))
         for key, value in (extra_values or {}).items():
             gauge = self.registry.gauge(
                 "repro_%s" % key, "Point-in-time service value."

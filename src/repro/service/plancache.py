@@ -28,7 +28,7 @@ from repro.core.axis_rewrite import rewrite_scoped_order_query
 from repro.core.system import ROUTE_NO_ORDER, ROUTE_SCOPED, EstimationSystem
 from repro.semcache import canonical_key, options_fingerprint
 from repro.xpath.ast import Query
-from repro.xpath.parser import parse_query_cached
+from repro.xpath.parser import parse_query
 
 DEFAULT_CAPACITY = 512
 
@@ -129,8 +129,13 @@ def compile_plan(system: EstimationSystem, text: str) -> CompiledPlan:
     targets are pre-planned on the kernel (tag tables, containment pairs
     and the per-query bitset plan are built now, off the hot path), and
     the plan records that it was compiled against the kernel.
+
+    The text is parsed uncached, so the plan cache is the only holder of
+    a served AST: an evicted plan frees its AST together with the clones
+    and kernel plans hung off it, instead of the parser's text-keyed LRU
+    keeping thousands of cold ASTs alive for the collector to walk.
     """
-    query = parse_query_cached(text)
+    query = parse_query(text)
     route = system.select_route(query)
     kernel = system.kernel()
     variants: Optional[List[Tuple[Query, str]]] = None

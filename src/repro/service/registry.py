@@ -230,9 +230,12 @@ def _read_snapshot(path: str) -> Tuple[str, tuple]:
 class SynopsisRegistry:
     """Thread-safe name → synopsis map with mtime-based hot reload.
 
-    ``check_interval`` throttles the per-``get`` ``os.stat`` (0 = stat on
-    every request; a busy server may prefer ~1s).  All mutation happens
-    under one reentrant lock; estimation itself runs outside it.
+    ``check_interval`` is the number of seconds between freshness checks
+    of an entry (0 = check on every ``get``).  A check is not a bare
+    ``os.stat``: it re-reads the whole snapshot file, CRC32s it and
+    stats its pack (25 µs on a 14 KB snapshot, 110 µs on a 193 KB one,
+    on a 2-vCPU host), so a busy server may prefer ~1s.  All mutation happens under one
+    reentrant lock; estimation itself runs outside it.
     """
 
     def __init__(

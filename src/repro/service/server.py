@@ -27,8 +27,9 @@ Endpoints
     "synopses": N, "reload_failures": N}`` plus, when degraded, the
     name → reason map of entries serving last-good state.
 ``GET /metrics``
-    Counters, latency percentiles, per-synopsis QPS, cache hit rate and
-    the reliability block (in-flight, shed, deadline counters).  With
+    Counters, latency percentiles, per-synopsis QPS, cache hit rate,
+    the reliability block (in-flight, shed, deadline counters) and the
+    ``process.gc`` block (per-generation collector counters).  With
     ``?format=prom`` the same registry renders Prometheus text
     exposition (format 0.0.4) instead of JSON.
 ``GET /debug/slowlog``
@@ -103,7 +104,7 @@ from repro.reliability.shedding import (
     TieredAdmissionGate,
 )
 from repro.service.config import DEFAULT_PORT
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import ServiceMetrics, gc_document
 from repro.service.plancache import PlanCache
 from repro.service.registry import SynopsisRegistry, UnknownSynopsisError
 from repro.xpath.parser import XPathSyntaxError
@@ -911,6 +912,7 @@ class EstimationService:
         document["kernel"] = self.kernel_document()
         document["planner"] = self.planner_document()
         document["semcache"] = self.semcache_document()
+        document["process"] = {"gc": gc_document()}
         if self.workers_view is not None:
             try:
                 document["workers"] = self.workers_view()

@@ -36,6 +36,7 @@ the worker's arena slab so the parent can aggregate pool-wide
 
 from __future__ import annotations
 
+import gc
 import os
 import select
 import signal
@@ -49,7 +50,7 @@ from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACER
 from repro.persist import PersistError
 from repro.reliability.policy import RetryPolicy
-from repro.service.config import ServerConfig
+from repro.service.config import SERVING_GC_THRESHOLD, ServerConfig
 from repro.shm.kernelpack import PACK_SUFFIX, KernelPackError, write_pack
 from repro.shm.slab import SlabArena, WorkerSlab
 
@@ -410,6 +411,7 @@ class WorkerPool:
         arena = self.arena
         slab = arena.slab(index)
         service, server = self._build_worker_service(slab, arena)
+        gc.set_threshold(*SERVING_GC_THRESHOLD)
         stop = threading.Event()
         signal.signal(signal.SIGTERM, lambda *_args: stop.set())
         signal.signal(signal.SIGINT, signal.SIG_IGN)

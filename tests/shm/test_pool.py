@@ -18,6 +18,7 @@ import pytest
 
 from repro import persist
 from repro.service import ServerConfig, ServiceClient
+from repro.service.config import SERVING_GC_THRESHOLD
 from repro.shm import WorkerPool, pool_supported, stage_packs
 from repro.shm.control import ControlServer, pool_health, pool_metrics, render_pool_prom
 
@@ -88,6 +89,8 @@ class TestServing:
         workers = document["workers"]
         assert workers["count"] == 2
         assert len(workers["per_worker"]) == 2
+        # Each forked worker runs with the daemon's collector policy.
+        assert document["process"]["gc"]["threshold"] == list(SERVING_GC_THRESHOLD)
 
     def test_describe(self, pool):
         info = pool.describe()
