@@ -7,7 +7,9 @@ defaults, and counts what the collector did: collections per
 generation, the time spent in them, the longest single pause, the
 GC-tracked objects still alive afterwards and the peak RSS.  It attributes
 a ``read_p99_ms`` change on ``cold-batch`` to full collections or rules
-them out.
+them out.  It also counts the estimates asked for and the kernel joins
+they ran (summed over the three served synopses), which attributes a
+change in per-estimate CPU to the join stage.
 
     PYTHONPATH=src:. python3 benchmarks/gc_cold_batches.py --batches 1500
 
@@ -75,6 +77,7 @@ def main(argv=None) -> int:
         else:
             pauses.append((info["generation"], time.perf_counter() - started))
 
+    joins_before = _kernel_joins(registry)
     before = [stats["collections"] for stats in gc.get_stats()]
     gc.callbacks.append(on_gc)
     cpu = time.process_time()
@@ -84,6 +87,7 @@ def main(argv=None) -> int:
     gc.callbacks.remove(on_gc)
     after = [stats["collections"] for stats in gc.get_stats()]
     full = [seconds for generation, seconds in pauses if generation == 2]
+    kernel_joins = _kernel_joins(registry) - joins_before
     gc.collect()
     live = len(gc.get_objects())
     shutil.rmtree(folder)
@@ -96,10 +100,19 @@ def main(argv=None) -> int:
         "gc_s": round(sum(seconds for _, seconds in pauses), 3),
         "max_pause_ms": round(1000.0 * max((s for _, s in pauses), default=0.0), 1),
         "cpu_s": round(cpu, 2),
+        "estimates": sum(len(op["queries"]) for op in ops),
+        "kernel_joins": kernel_joins,
         "live_tracked_objects": live,
         "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }))
     return 0
+
+
+def _kernel_joins(registry) -> int:
+    return sum(
+        registry.system(name).kernel().stats()["joins"]
+        for name in registry.names()
+    )
 
 
 def _payload(op: dict) -> dict:

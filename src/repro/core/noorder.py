@@ -116,12 +116,12 @@ def estimate_no_order(
         tracer=tracer,
         kernel=kernel,
     )
-    return _estimate(
+    return estimate_from_join(
         query, node, join, provider, table, fixpoint, depth_consistent, tracer, kernel
     )
 
 
-def _estimate(
+def estimate_from_join(
     query: Query,
     node: QueryNode,
     join: JoinResult,
@@ -132,6 +132,9 @@ def _estimate(
     tracer=NULL_TRACER,
     kernel=None,
 ) -> float:
+    """``S_Q(node)`` from ``join``, the already computed path join of
+    ``query`` (only the spine-pruned ``Q'`` of Equation 2 is joined here).
+    """
     if join.empty:
         return 0.0
     branching = branching_ancestor(query, node)
@@ -156,7 +159,7 @@ def _estimate(
     if f_prime_ni <= 0.0:
         return 0.0
     # S_Q(ni), recursively (equals f_Q(ni) when ni is trunk).
-    s_ni = _estimate(
+    s_ni = estimate_from_join(
         query, branching, join, provider, table, fixpoint, depth_consistent,
         tracer, kernel,
     )

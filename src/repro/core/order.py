@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.noorder import estimate_no_order
+from repro.core.noorder import estimate_from_join, estimate_no_order
 from repro.core.pathjoin import path_join
 from repro.core.providers import OrderStatsProvider, PathStatsProvider
 from repro.core.transform import (
@@ -171,6 +171,8 @@ class _OrderEstimator:
         self.counterpart, self.counterpart_map = clone_query_cached(
             query, order_to_structural=True
         )
+        # Joined on first use: Equation 5 reads S_Q three times.
+        self._counterpart_join = None
         # Pattern membership of the two sibling branches.  The defining
         # order edge runs source -> dest; dest's subtree never contains the
         # source (patterns are trees), while the source's subtree reaches
@@ -229,18 +231,27 @@ class _OrderEstimator:
 
     # -- shared machinery ---------------------------------------------------
 
+    def _join(self, query: Query):
+        return path_join(
+            query, self.paths, self.table,
+            fixpoint=self.fixpoint, depth_consistent=self.depth_consistent,
+            tracer=self.tracer, kernel=self.kernel,
+        )
+
+    def _estimate_from_join(self, query: Query, node: QueryNode, join) -> float:
+        return estimate_from_join(
+            query, node, join, self.paths, self.table,
+            self.fixpoint, self.depth_consistent, self.tracer, self.kernel,
+        )
+
     def _counterpart_estimate(self, node: QueryNode) -> float:
         """S_Q(node): the no-order estimate on the full counterpart."""
-        mapped = self.counterpart_map[node.node_id]
-        return estimate_no_order(
+        if self._counterpart_join is None:
+            self._counterpart_join = self._join(self.counterpart)
+        return self._estimate_from_join(
             self.counterpart,
-            self.paths,
-            self.table,
-            target=mapped,
-            fixpoint=self.fixpoint,
-            depth_consistent=self.depth_consistent,
-            tracer=self.tracer,
-            kernel=self.kernel,
+            self.counterpart_map[node.node_id],
+            self._counterpart_join,
         )
 
     def _order_ratio_parts(
@@ -257,11 +268,7 @@ class _OrderEstimator:
             order_to_structural=True,
             target=sibling,
         )
-        join = path_join(
-            simplified, self.paths, self.table,
-            fixpoint=self.fixpoint, depth_consistent=self.depth_consistent,
-            tracer=self.tracer, kernel=self.kernel,
-        )
+        join = self._join(simplified)
         if join.empty:
             return 0.0, 0.0
         sibling_clone = mapping[sibling.node_id]
@@ -271,9 +278,5 @@ class _OrderEstimator:
             self.orders.order_count(sibling.tag, pid, other.tag, before)
             for pid in surviving
         )
-        s_prime = estimate_no_order(
-            simplified, self.paths, self.table, target=sibling_clone,
-            fixpoint=self.fixpoint, depth_consistent=self.depth_consistent,
-            tracer=self.tracer, kernel=self.kernel,
-        )
+        s_prime = self._estimate_from_join(simplified, sibling_clone, join)
         return s_order_prime, s_prime

@@ -247,9 +247,7 @@ def path_join(
     """
     if kernel is not None:
         if fixpoint and depth_consistent and kernel.supports(provider, table):
-            return kernel.join(
-                query, provider=provider, tracer=tracer, max_rounds=max_rounds
-            )
+            return kernel.join(query, provider=provider, tracer=tracer)
         kernel.note_fallback()
     with tracer.aggregate("join") as span:
         if depth_consistent:

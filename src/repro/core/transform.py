@@ -35,8 +35,9 @@ def clone_query(
     """Clone ``query`` with optional transformations.
 
     drop_subtree_of:
-        node_ids whose *structural/scoped* edges are dropped (the node is
-        kept; its sibling-order edges survive so order links stay intact).
+        node_ids whose *structural* edges (``edge.axis.is_structural``)
+        are dropped (the node is kept; its sibling-order and scoped edges
+        survive so order links stay intact).
     order_to_structural:
         rewrite every sibling-order edge ``X -folls/pres-> Y`` into a
         predicate edge ``P -> Y`` (P = X's structural parent, same axis

@@ -361,13 +361,11 @@ class SynopsisKernel:
                 self._plans[query] = plan
         return plan
 
-    def join(self, query: Query, provider=None, tracer=NULL_TRACER,
-             max_rounds: int = 64):
+    def join(self, query: Query, provider=None, tracer=NULL_TRACER):
         """Bitset path join; see :func:`repro.kernel.join.kernel_join`."""
         from repro.kernel.join import kernel_join
 
-        return kernel_join(self, query, provider=provider, tracer=tracer,
-                           max_rounds=max_rounds)
+        return kernel_join(self, query, provider=provider, tracer=tracer)
 
     # ------------------------------------------------------------------
     # Introspection

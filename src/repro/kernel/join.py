@@ -1,14 +1,25 @@
 """The bitset path join over a compiled :class:`SynopsisKernel`.
 
 Semantically identical to the depth-consistent fixpoint of
-:func:`repro.core.pathjoin._depth_join` — same per-constraint pruning
-rule, same forward+backward schedule with per-node version counters,
-same early exits — but the per-node state is one Python-int bitset per
-depth instead of a dict of pid → depth-set, and each pruning step is an
-AND against a memoized OR of containment-matrix rows.  Both paths
-converge to the same (unique) arc-consistent fixpoint, and frequencies
-are summed over indexes in provider order, so estimates agree with the
-legacy path bit for bit.
+:func:`repro.core.pathjoin._depth_join` (same per-constraint pruning
+rule, same root-``/`` restriction, same all-empty result when a node
+dies), but the per-node state is one Python-int bitset per depth instead
+of a dict of pid → depth-set, and each pruning step is an AND against a
+memoized OR of containment-matrix rows.
+
+The constraints of :func:`~repro.core.pathjoin.derive_constraints` form
+a forest: every query node is the lower end of at most one constraint,
+and that constraint comes before every constraint with the node as its
+upper end.  On a forest, one leaves-up pass (prune each upper side by
+its lower side, steps in reverse) followed by one root-down pass (prune
+each lower side by its upper side, steps in order) reaches the
+arc-consistent fixpoint — the two-pass semijoin reduction of an acyclic
+join.  After the first pass every surviving upper placement has support
+in each of its subtrees; the second pass only drops lower placements
+with no live upper partner, which no surviving upper placement relied
+on.  The arc-consistent fixpoint is unique, so the result equals the
+Section 4 loop's, and frequencies are summed over indexes in provider
+order, so estimates agree with the legacy path bit for bit.
 """
 
 from __future__ import annotations
@@ -166,9 +177,8 @@ def kernel_join(
     query: Query,
     provider=None,
     tracer=NULL_TRACER,
-    max_rounds: int = 64,
 ) -> KernelJoinResult:
-    """Depth-consistent fixpoint join on compiled bitsets."""
+    """Depth-consistent fixpoint join on compiled bitsets, in two passes."""
     kernel.joins += 1
     with tracer.aggregate("join") as join_span:
         plan = kernel.query_plan(query, tracer)
@@ -192,38 +202,10 @@ def kernel_join(
                 states[root_id] = [root_state[0]] + [0] * (len(root_state) - 1)
 
         steps = plan.steps
-        empty = False
+        join_span.incr("rounds")
         with tracer.aggregate("bitset_join") as bitset_span:
             bitset_span.incr("constraints", len(steps))
-            if steps:
-                schedule = steps + tuple(reversed(steps))
-                version = [0] * len(states)
-                last_seen: List[Tuple[int, int]] = [(-1, -1)] * len(schedule)
-                for _ in range(max_rounds):
-                    join_span.incr("rounds")
-                    changed = False
-                    for index, (uid, lid, child, pair) in enumerate(schedule):
-                        if last_seen[index] == (version[uid], version[lid]):
-                            continue
-                        upper_changed, lower_changed = _apply_step(
-                            states, uid, lid, child, pair
-                        )
-                        if upper_changed:
-                            version[uid] += 1
-                            changed = True
-                        if lower_changed:
-                            version[lid] += 1
-                            changed = True
-                        last_seen[index] = (version[uid], version[lid])
-                        if (upper_changed and not any(states[uid])) or (
-                            lower_changed and not any(states[lid])
-                        ):
-                            empty = True
-                            break
-                    if empty or not changed:
-                        break
-            else:
-                join_span.incr("rounds")
+            empty = _two_pass(states, steps)
         if not empty:
             empty = any(not any(state) for state in states)
         result = KernelJoinResult(query, tables, None if empty else states)
@@ -231,95 +213,91 @@ def kernel_join(
     return result
 
 
-def _apply_step(
-    states: List[List[int]],
-    upper_id: int,
-    lower_id: int,
-    child: bool,
-    pair,
-) -> Tuple[bool, bool]:
-    """Prune both sides of one constraint (bitset counterpart of
-    :func:`repro.core.pathjoin._apply_depth_constraint`).
+def _two_pass(
+    states: List[List[int]], steps: Tuple[Tuple[int, int, bool, object], ...]
+) -> bool:
+    """Run the leaves-up then root-down pass; True once a state empties.
 
-    Lower placements read the *current* upper state, upper placements the
-    *new* lower state, matching the legacy sweep exactly.
+    Every step whose lower node is X comes before every step whose upper
+    node is X, so walking the steps backwards prunes each upper node only
+    after its whole subtree is final, and walking them forwards prunes
+    each lower node only after its upper node is final.
     """
+    for upper_id, lower_id, child, pair in reversed(steps):
+        if _prune_upper(states, upper_id, lower_id, child, pair) and not any(
+            states[upper_id]
+        ):
+            return True
+    for upper_id, lower_id, child, pair in steps:
+        if _prune_lower(states, upper_id, lower_id, child, pair) and not any(
+            states[lower_id]
+        ):
+            return True
+    return False
+
+
+def _prune_lower(
+    states: List[List[int]], upper_id: int, lower_id: int, child: bool, pair
+) -> bool:
+    """Keep lower index j at depth dl iff some compatible upper index is
+    alive at dl-1 (child) / any depth < dl (descendant).  Returns whether
+    the lower state changed."""
     upper = states[upper_id]
     lower = states[lower_id]
-    down_rows, up_rows = pair.down, pair.up
-    down_memo, up_memo = pair.down_memo, pair.up_memo
+    down_rows, down_memo = pair.down, pair.down_memo
     upper_len = len(upper)
-    lower_len = len(lower)
-
-    # Lower side: index j stays alive at depth dl iff some compatible
-    # upper index is alive at dl-1 (child) / any depth < dl (descendant).
-    lower_changed = False
     new_lower = lower
-    if child:
-        for dl in range(lower_len):
-            alive = lower[dl]
-            if not alive:
-                continue
-            du = dl - 1
-            bits = upper[du] if 0 <= du < upper_len else 0
-            kept = alive & or_rows(down_rows, bits, down_memo) if bits else 0
-            if kept != alive:
-                if new_lower is lower:
-                    new_lower = lower[:]
-                new_lower[dl] = kept
-                lower_changed = True
-    else:
-        below = 0
-        for dl in range(lower_len):
-            du = dl - 1
-            if 0 <= du < upper_len:
-                below |= upper[du]
-            alive = lower[dl]
-            if not alive:
-                continue
-            kept = alive & or_rows(down_rows, below, down_memo) if below else 0
-            if kept != alive:
-                if new_lower is lower:
-                    new_lower = lower[:]
-                new_lower[dl] = kept
-                lower_changed = True
+    below = 0
+    for dl in range(len(lower)):
+        du = dl - 1
+        if child:
+            below = upper[du] if 0 <= du < upper_len else 0
+        elif 0 <= du < upper_len:
+            below |= upper[du]
+        alive = lower[dl]
+        if not alive:
+            continue
+        kept = alive & or_rows(down_rows, below, down_memo) if below else 0
+        if kept != alive:
+            if new_lower is lower:
+                new_lower = lower[:]
+            new_lower[dl] = kept
+    if new_lower is lower:
+        return False
+    states[lower_id] = new_lower
+    return True
 
-    # Upper side, against the new lower state.
-    upper_changed = False
+
+def _prune_upper(
+    states: List[List[int]], upper_id: int, lower_id: int, child: bool, pair
+) -> bool:
+    """Keep upper index i at depth du iff some compatible lower index is
+    alive at du+1 (child) / any depth > du (descendant).  Returns whether
+    the upper state changed."""
+    upper = states[upper_id]
+    lower = states[lower_id]
+    up_rows, up_memo = pair.up, pair.up_memo
+    lower_len = len(lower)
     new_upper = upper
-    if child:
-        for du in range(upper_len):
-            alive = upper[du]
-            if not alive:
-                continue
-            dl = du + 1
-            bits = new_lower[dl] if dl < lower_len else 0
-            kept = alive & or_rows(up_rows, bits, up_memo) if bits else 0
-            if kept != alive:
-                if new_upper is upper:
-                    new_upper = upper[:]
-                new_upper[du] = kept
-                upper_changed = True
-    else:
-        above = 0
-        for depth in range(upper_len + 1, lower_len):
-            above |= new_lower[depth]
-        for du in range(upper_len - 1, -1, -1):
-            dl = du + 1
-            if dl < lower_len:
-                above |= new_lower[dl]
-            alive = upper[du]
-            if not alive:
-                continue
-            kept = alive & or_rows(up_rows, above, up_memo) if above else 0
-            if kept != alive:
-                if new_upper is upper:
-                    new_upper = upper[:]
-                new_upper[du] = kept
-                upper_changed = True
-
-    if lower_changed:
-        states[lower_id] = new_lower
-    if upper_changed:
-        states[upper_id] = new_upper
-    return upper_changed, lower_changed
+    above = 0
+    if not child:
+        for depth in range(len(upper) + 1, lower_len):
+            above |= lower[depth]
+    for du in range(len(upper) - 1, -1, -1):
+        dl = du + 1
+        if child:
+            above = lower[dl] if dl < lower_len else 0
+        elif dl < lower_len:
+            above |= lower[dl]
+        alive = upper[du]
+        if not alive:
+            continue
+        kept = alive & or_rows(up_rows, above, up_memo) if above else 0
+        if kept != alive:
+            if new_upper is upper:
+                new_upper = upper[:]
+            new_upper[du] = kept
+    if new_upper is upper:
+        return False
+    states[upper_id] = new_upper
+    return True

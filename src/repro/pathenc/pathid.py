@@ -29,7 +29,14 @@ def encodings_of(pathid: int, width: int) -> List[int]:
     >>> encodings_of(0b1100, 4)
     [1, 2]
     """
-    return [e for e in range(1, width + 1) if pathid & (1 << (width - e))]
+    pathid &= (1 << width) - 1
+    found: List[int] = []
+    while pathid:  # low bit first == highest encoding first
+        low = pathid & -pathid
+        found.append(width + 1 - low.bit_length())
+        pathid ^= low
+    found.reverse()
+    return found
 
 
 def bits_of(pathid: int) -> Iterator[int]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.order import estimate_with_order, sibling_order_edges
 from repro.core.providers import ExactOrderStats, ExactPathStats
+from repro.core.system import EstimationSystem
 from repro.core.transform import UnsupportedQueryError
 from repro.stats import collect_path_order, collect_pathid_frequencies
 from repro.xmltree.builder import el
@@ -124,3 +125,38 @@ class TestAgainstEvaluatorOnCraftedDoc:
         value = estimate_with_order(parse_query(text), *env_)
         actual = Evaluator(doc).selectivity(parse_query(text))
         assert value == pytest.approx(float(actual))
+
+
+class TestJoinReuse:
+    """One order estimate joins each AST it needs exactly once."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "//A[/C[/F]/folls::$B/D]",  # Equation 3
+            "//A[/C[/F]/folls::B/$D]",  # Equation 4
+            "//$A[/C[/F]/folls::B/D]",  # Equation 5
+        ],
+    )
+    def test_joins_equal_distinct_asts(self, figure1, text):
+        system = EstimationSystem.build(figure1, p_variance=0, o_variance=0)
+        kernel = system.kernel()
+        joined = []
+        join = kernel.join
+
+        def spy(query, **kwargs):
+            joined.append(query)
+            return join(query, **kwargs)
+
+        kernel.join = spy
+        before = kernel.stats()["joins"]
+        value = estimate_with_order(
+            parse_query(text),
+            system.path_provider,
+            system.order_provider,
+            system.encoding_table,
+            kernel=kernel,
+        )
+        assert value == pytest.approx(1.0)
+        assert kernel.stats()["joins"] - before == len(joined)
+        assert len(joined) == len({id(query) for query in joined})

@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.axis_rewrite import rewrite_scoped_order_query
 from repro.core.options import EstimateOptions
+from repro.core.order import sibling_order_edges
 from repro.core.pathjoin import path_join
+from repro.core.transform import clone_query
+from repro.kernel.join import build_query_plan
+from repro.workload import WorkloadGenerator
 
 
 def _all_items(workload):
@@ -21,6 +26,50 @@ def _all_items(workload):
         + workload.order_branch
         + workload.order_trunk
     )
+
+
+@pytest.fixture(scope="module")
+def scoped_items(ssplays_small, dblp_small, xmark_small):
+    """Scoped ``foll``/``pre`` workload queries, keyed by dataset name."""
+    return {
+        name: WorkloadGenerator(document, seed=13).scoped_order_queries(80)
+        for name, document in (
+            ("SSPlays", ssplays_small),
+            ("DBLP", dblp_small),
+            ("XMark", xmark_small),
+        )
+    }
+
+
+def _order_join_inputs(query):
+    """An order query, its order-free counterpart and, per sibling-order
+    edge, the two ``drop_subtree_of`` simplifications of Equations 3-4."""
+    yield query
+    yield clone_query(query, order_to_structural=True)[0]
+    for _, source, dest in sibling_order_edges(query):
+        for sibling, other in ((source, dest), (dest, source)):
+            yield clone_query(
+                query,
+                drop_subtree_of={other.node_id},
+                order_to_structural=True,
+                target=sibling,
+            )[0]
+
+
+def _join_inputs(system, workload, scoped):
+    """Every join shape an estimate reaches: order-free queries, raw
+    order and scoped queries (constraints anchored through
+    ``_structural_anchor``), their counterparts and simplifications, and
+    the sibling-order rewrites of the scoped queries."""
+    yield from (item.query for item in workload.no_order())
+    for item in workload.order_branch + workload.order_trunk:
+        yield from _order_join_inputs(item.query)
+    for item in scoped:
+        yield from _order_join_inputs(item.query)
+        for rewritten in rewrite_scoped_order_query(
+            item.query, system.path_provider, system.encoding_table
+        ):
+            yield from _order_join_inputs(rewritten)
 
 
 def _spans(trace):
@@ -84,24 +133,40 @@ class TestEstimateEquivalence:
 
 
 class TestJoinEquivalence:
-    def test_join_results_identical(self, kernel_envs):
+    def test_join_results_identical(self, kernel_envs, scoped_items):
         """pids (values *and* dict order), depths and frequencies agree
-        on every node of every order-free workload query."""
+        on every node of every join input the workloads reach."""
         for name, system, workload in kernel_envs:
             provider, table = system.path_provider, system.encoding_table
             kernel = system.kernel()
-            for item in workload.no_order()[:80]:
-                legacy = path_join(item.query, provider, table)
-                compiled = path_join(
-                    item.query, provider, table, kernel=kernel
-                )
-                assert compiled.empty == legacy.empty, item.text
-                for node in item.query.nodes():
+            joined = 0
+            for query in _join_inputs(system, workload, scoped_items[name]):
+                text = query.to_string()
+                legacy = path_join(query, provider, table)
+                compiled = path_join(query, provider, table, kernel=kernel)
+                assert compiled.empty == legacy.empty, text
+                for node in query.nodes():
                     lhs, rhs = legacy.pids(node), compiled.pids(node)
-                    assert rhs == lhs, item.text
-                    assert list(rhs) == list(lhs), item.text  # insertion order
-                    assert compiled.depths(node) == legacy.depths(node), item.text
-                    assert compiled.frequency(node) == legacy.frequency(node), item.text
+                    assert rhs == lhs, text
+                    assert list(rhs) == list(lhs), text  # insertion order
+                    assert compiled.depths(node) == legacy.depths(node), text
+                    assert compiled.frequency(node) == legacy.frequency(node), text
+                joined += 1
+            assert joined > len(workload.no_order()), name
+
+    def test_constraints_form_a_forest(self, kernel_envs, scoped_items):
+        """The two-pass kernel join relies on it: each node is the lower
+        end of at most one step, and that step precedes every step with
+        the node as its upper end."""
+        for name, system, workload in kernel_envs:
+            kernel = system.kernel()
+            for query in _join_inputs(system, workload, scoped_items[name]):
+                steps = build_query_plan(kernel, query).steps
+                lowers = [lower for _, lower, _, _ in steps]
+                assert len(set(lowers)) == len(lowers), query.to_string()
+                for index, (upper, _, _, _) in enumerate(steps):
+                    if upper in lowers:
+                        assert lowers.index(upper) < index, query.to_string()
 
     def test_ablations_fall_back_to_legacy(self, kernel_envs):
         """The paper's ablation modes (no fixpoint / no depth filter) are

@@ -1,6 +1,8 @@
 """Unit tests for path-id bit-vector operations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pathenc.pathid import (
     bit_for_encoding,
@@ -35,6 +37,25 @@ class TestBitMapping:
         assert encodings_of(0b1100, 4) == [1, 2]
         assert encodings_of(0b1111, 4) == [1, 2, 3, 4]
         assert encodings_of(0, 4) == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=600),
+        pid=st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=2**620),
+            st.integers(min_value=-(2**620), max_value=-1),
+        ),
+        all_ones=st.booleans(),
+    )
+    def test_encodings_of_matches_encoding_scan(self, width, pid, all_ones):
+        """Set-bit decoding equals the scan over every encoding, including
+        the all-ones id and bits above ``width`` (which both ignore)."""
+        if all_ones:
+            pid = (1 << width) - 1
+        expected = [e for e in range(1, width + 1) if pid & (1 << (width - e))]
+        assert encodings_of(pid, width) == expected
+        assert encodings_of(pid | (1 << (width + 3)), width) == expected
 
     def test_bits_of(self):
         assert sorted(bits_of(0b1010)) == [0b0010, 0b1000]
