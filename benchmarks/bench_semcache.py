@@ -196,7 +196,7 @@ def test_semcache_bit_identity(ctx):
             {"synopsis": name, "queries": scatter}
         )
         assert document["count"] == len(scatter)
-        got = [result["estimate"] for result in document["results"]]
+        got = [item["result"]["value"] for item in document["results"]]
         assert got == [expected[text] for text in scatter], (
             "%s: scatter estimates diverged from direct evaluation" % name
         )

@@ -1,7 +1,8 @@
 """The structured result of one estimation: value + context + trace.
 
-:class:`EstimateResult` is what :meth:`EstimationSystem.query` returns
-and what the service's versioned ``result`` wire object carries.  It is
+:class:`EstimateResult` is what ``EstimationSystem.estimate`` returns
+under ``EstimateOptions(detail=True)`` (or ``trace=True``) and what the
+service's versioned ``result`` wire object carries.  It is
 immutable, float-coercible (``float(result) == result.value``, so code
 written against the bare-float ``estimate()`` era keeps working on it)
 and round-trips through JSON via :meth:`as_dict` / :meth:`from_dict`.
@@ -18,10 +19,11 @@ from typing import Any, Dict, Optional
 
 __all__ = ["EstimateResult", "RESULT_FORMAT_VERSION"]
 
-#: Version of the ``result`` wire object.  Version 2 promotes it to the
-#: primary estimate payload (the legacy top-level mirror fields became
-#: optional compat output) and adds the ``kernel`` field.
-RESULT_FORMAT_VERSION = 2
+#: Version of the ``result`` wire object.  Version 2 promoted it to the
+#: primary estimate payload and added the ``kernel`` field; version 3
+#: makes it the only one (the flat top-level mirror fields are gone) and
+#: drops ``cached``, which duplicated ``cache["plan"]``.
+RESULT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,6 @@ class EstimateResult:
     trace:
         The span tree (see :mod:`repro.obs.trace`) when tracing was
         requested, else ``None``.
-    cached:
-        Legacy boolean, kept as a compat alias of ``cache["plan"]``:
-        whether the compiled-plan cache served the estimate (service
-        responses only; ``None`` for direct in-process estimation).
     cache:
         Structured cache attribution (service responses only):
         ``{"plan": bool, "result": bool}`` — whether the compiled-plan
@@ -67,7 +65,6 @@ class EstimateResult:
     route: str = ""
     elapsed_ms: float = 0.0
     trace: Optional[Dict[str, Any]] = None
-    cached: Optional[bool] = None
     kernel: Optional[bool] = None
     tier: Optional[str] = None
     cache: Optional[Dict[str, bool]] = None
@@ -91,8 +88,6 @@ class EstimateResult:
             "route": self.route,
             "elapsed_ms": self.elapsed_ms,
         }
-        if self.cached is not None:
-            payload["cached"] = self.cached
         if self.cache is not None:
             payload["cache"] = dict(self.cache)
         if self.kernel is not None:
@@ -112,7 +107,6 @@ class EstimateResult:
             route=str(payload.get("route", "")),
             elapsed_ms=float(payload.get("elapsed_ms", 0.0)),
             trace=payload.get("trace"),
-            cached=payload.get("cached"),
             kernel=payload.get("kernel"),
             tier=payload.get("tier"),
             cache=payload.get("cache"),

@@ -45,7 +45,7 @@ from repro.reliability.shedding import (
     TieredAdmissionGate,
     default_tiers,
 )
-from repro.service.client import EndpointClient, ServiceClient, ServiceError
+from repro.service.client import EndpointClient, ServiceError
 from repro.service.config import DEFAULT_PORT, ClientConfig, ServerConfig
 from repro.service.metrics import LatencySummary, ServiceMetrics
 from repro.service.plancache import CompiledPlan, PlanCache, compile_plan
@@ -113,7 +113,6 @@ def serve(
             top_k=cfg.slowlog_top_k,
         ),
         trace_sample_rate=cfg.trace_sample_rate,
-        compat_fields=cfg.compat_fields,
         brownout=brownout,
     )
     return ServiceServer(
@@ -157,7 +156,6 @@ __all__ = [
     "LiveSynopsis",
     "PlanCache",
     "ServerConfig",
-    "ServiceClient",
     "ServiceError",
     "ServiceMetrics",
     "ServiceServer",

@@ -4,7 +4,7 @@ The server/client tuning knobs used to travel as long positional
 parameter lists; they are now grouped into frozen dataclasses so a
 config can be built once (by the CLI, a test harness, or an embedding
 application) and handed to :func:`repro.service.serve` or
-:class:`repro.service.ServiceClient` as a single value.  Every field has
+:class:`repro.service.EndpointClient` as a single value.  Every field has
 the historical default, so ``ServerConfig()`` reproduces the pre-config
 behaviour exactly.
 """
@@ -69,14 +69,6 @@ class ServerConfig:
     #: its request (slow-loris) or idles past this is disconnected instead
     #: of pinning a handler thread.  ``None`` disables.
     read_deadline_s: Optional[float] = 30.0
-    # Wire compatibility ---------------------------------------------
-    #: Mirror the legacy top-level estimate fields (``estimate``,
-    #: ``route``, ``cached``, ``kernel``) beside the versioned
-    #: ``result`` object in every estimate response.  The ``result``
-    #: object is the primary shape since RESULT_FORMAT_VERSION 2; turn
-    #: this off once no pre-v2 clients remain to halve response size.
-    #: A request may override per-call with ``"compat": true/false``.
-    compat_fields: bool = True
     # Worker pool ----------------------------------------------------
     #: Pre-forked ``SO_REUSEPORT`` worker processes (1 = classic
     #: single-process serving; N > 1 needs fork + SO_REUSEPORT).
@@ -117,7 +109,8 @@ class ServerConfig:
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """Tuning for :class:`repro.service.ServiceClient`."""
+    """Tuning for :class:`repro.service.EndpointClient` and
+    :func:`repro.connect`."""
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT

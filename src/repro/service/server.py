@@ -6,8 +6,12 @@ Endpoints
 ``POST /estimate``
     Body ``{"synopsis": name, "query": text}`` for a single estimate or
     ``{"synopsis": name, "queries": [text, ...]}`` for a batch.  Replies
-    with the estimate(s), the route taken and whether the compiled plan
-    came from the cache.  A single-query body may instead set
+    ``{"synopsis", "generation", "result"}`` (plus ``"tier"`` /
+    ``"brownout"`` when set): ``result`` is the versioned
+    :class:`~repro.core.result.EstimateResult` wire object with the value,
+    route, timing and cache attribution.  A batch replies with
+    ``"results": [{"result": ...}, ...]`` and ``"count"`` in place of
+    ``result``.  A single-query body may instead set
     ``"explain": true`` — returns the cost-based plan IR (ordered
     semijoin steps with expected cardinalities) without executing — or
     ``"execute": true`` — runs the plan against the synopsis's source
@@ -40,8 +44,7 @@ Endpoints
 Tracing: a request body carrying ``"trace": true`` — or one picked by
 the server's deterministic sample rate — re-executes the estimate under
 a :class:`~repro.obs.trace.Tracer` and returns the span tree inside the
-versioned ``result`` object (``result.trace``).  Every response now
-carries that structured ``result`` alongside the legacy flat fields.
+versioned ``result`` object (``result.trace``).
 
 The server is :class:`http.server.ThreadingHTTPServer` — one thread per
 connection, stdlib only.  Estimation runs outside the registry lock; the
@@ -68,7 +71,7 @@ batches yield their slot to waiting interactive work between queries
 :class:`~repro.reliability.brownout.BrownoutController`, when attached,
 watches capacity sheds and degrades in stages: tracing and slow-query
 logging stop first, then brownout-sheddable tiers are refused outright;
-``/healthz``, ``/metrics`` and wire-v2 responses all advertise the
+``/healthz``, ``/metrics`` and estimate replies all advertise the
 state.
 
 Connection hygiene: ``read_deadline_s`` puts a socket timeout on every
@@ -190,13 +193,11 @@ class EstimationService:
         request_deadline_s: Optional[float] = None,
         slow_log: Optional[SlowQueryLog] = None,
         trace_sample_rate: float = 0.0,
-        compat_fields: bool = True,
         brownout: Optional[BrownoutController] = None,
         semcache_capacity: Optional[int] = None,
         semcache_ttl_s: Optional[float] = None,
     ):
         self.registry = registry
-        self.compat_fields = compat_fields
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         #: Semantic result cache knobs applied to every served system
         #: (None = leave each system's own SemanticResultCache defaults).
@@ -356,7 +357,6 @@ class EstimationService:
         actual: Optional[float] = None,
         memo: Optional[Dict[str, Tuple[float, str, bool]]] = None,
         entry=None,
-        compat: Optional[bool] = None,
         tier: Optional[str] = None,
         slowlog: bool = True,
         mode: str = "estimate",
@@ -365,7 +365,8 @@ class EstimationService:
         effects; the slow-query log *is* fed here, per query).
 
         A traced call bypasses the memoized plan result and re-executes
-        through :meth:`EstimationSystem.query` so the returned span tree
+        through ``EstimationSystem.estimate`` with
+        ``EstimateOptions(trace=True)`` so the returned span tree
         (parse → plan → lookups → join) reflects a real execution; its
         ``kernel`` field reports whether that execution actually took the
         bitset path (a ``bitset_join`` span in the trace).
@@ -386,11 +387,6 @@ class EstimationService:
         different synopsis than earlier ones.  Without it, the entry is
         resolved here (single ad-hoc estimates).
 
-        ``compat`` controls whether the legacy flat mirror fields
-        (``estimate``/``route``/``cached``/``kernel``) accompany the
-        versioned ``result`` object; ``None`` falls back to the
-        service-wide :attr:`compat_fields` default.
-
         ``tier`` stamps the result object with the QoS lane that served
         it; ``slowlog=False`` skips the slow-query log (brownout level 1
         sheds observability before estimates).
@@ -404,12 +400,9 @@ class EstimationService:
             entry = self.registry.get(synopsis)
             if hasattr(entry, "pinned"):
                 entry = entry.pinned()
-        if compat is None:
-            compat = self.compat_fields
         if mode != "estimate":
             return self._plan_verb(
-                synopsis, text, entry, mode,
-                compat=compat, tier=tier, slowlog=slowlog,
+                synopsis, text, entry, mode, tier=tier, slowlog=slowlog,
             )
         if trace:
             traced = entry.system.estimate(
@@ -422,7 +415,6 @@ class EstimationService:
                 route=traced.route,
                 elapsed_ms=traced.elapsed_ms,
                 trace=traced.trace,
-                cached=False,
                 kernel=kernel_used,
                 tier=tier,
                 cache={"plan": False, "result": False},
@@ -435,7 +427,6 @@ class EstimationService:
                 query=text,
                 route=route,
                 elapsed_ms=0.0,
-                cached=True,
                 kernel=kernel_used,
                 tier=tier,
                 cache={"plan": True, "result": True},
@@ -455,7 +446,6 @@ class EstimationService:
                     query=text,
                     route=route,
                     elapsed_ms=0.0,
-                    cached=hit,
                     kernel=kernel_used,
                     tier=tier,
                     cache={"plan": hit, "result": True},
@@ -473,7 +463,6 @@ class EstimationService:
                     query=text,
                     route=plan.route,
                     elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                    cached=hit,
                     kernel=kernel_used,
                     tier=tier,
                     cache={"plan": hit, "result": result_hit},
@@ -496,18 +485,7 @@ class EstimationService:
                 trace_id=result.trace_id,
                 trace=result.trace,
             )
-        # ``result`` is the primary wire object (RESULT_FORMAT_VERSION
-        # >= 2); the flat fields are a compat mirror for pre-v2 readers.
-        body: Dict[str, Any] = {"result": result.as_dict()}
-        if compat:
-            body.update(
-                query=text,
-                estimate=result.value,
-                route=result.route,
-                cached=bool(result.cached),
-                kernel=kernel_used,
-            )
-        return body
+        return {"result": result.as_dict()}
 
     def _plan_verb(
         self,
@@ -515,7 +493,6 @@ class EstimationService:
         text: str,
         entry,
         mode: str,
-        compat: bool,
         tier: Optional[str] = None,
         slowlog: bool = True,
     ) -> Dict[str, Any]:
@@ -556,22 +533,13 @@ class EstimationService:
             )
         matches = list(execution.matches)
         truncated = len(matches) > MAX_WIRE_MATCHES
-        body: Dict[str, Any] = {
+        return {
             "result": result.as_dict(),
             "plan": plan.as_dict(),
             "match_count": len(matches),
             "matches": matches[:MAX_WIRE_MATCHES],
             "matches_truncated": truncated,
         }
-        if compat:
-            body.update(
-                query=text,
-                estimate=result.value,
-                route=result.route,
-                cached=False,
-                kernel=entry.system.kernel_active(),
-            )
-        return body
 
     def handle_estimate(
         self, payload: Any, tier: Optional[str] = None
@@ -606,7 +574,6 @@ class EstimationService:
                 batched,
                 trace,
                 actuals,
-                compat,
                 mode,
             ) = self._parse_estimate_payload(payload)
             trace = (trace or self._sample_trace()) and observability
@@ -646,7 +613,6 @@ class EstimationService:
                         actual=actuals[index],
                         memo=memo,
                         entry=entry,
-                        compat=compat,
                         tier=tier,
                         slowlog=observability,
                         mode=mode,
@@ -703,14 +669,11 @@ class EstimationService:
     @staticmethod
     def _parse_estimate_payload(
         payload: Any,
-    ) -> Tuple[
-        str, List[str], bool, bool, List[Optional[float]], Optional[bool], str
-    ]:
-        """Returns ``(synopsis, queries, batched, trace, actuals, compat,
-        mode)`` where ``actuals`` is aligned with ``queries`` (``None``
-        when the client supplied no ground truth for that query),
-        ``compat`` is the per-request legacy-field override (``None`` =
-        use the server default) and ``mode`` is the verb —
+    ) -> Tuple[str, List[str], bool, bool, List[Optional[float]], str]:
+        """Returns ``(synopsis, queries, batched, trace, actuals, mode)``
+        where ``actuals`` is aligned with ``queries`` (``None`` when the
+        client supplied no ground truth for that query) and ``mode`` is
+        the verb —
         ``"estimate"``, ``"explain"`` or ``"execute"`` (single-query
         requests only)."""
         if not isinstance(payload, dict):
@@ -721,9 +684,6 @@ class EstimationService:
         trace = payload.get("trace", False)
         if not isinstance(trace, bool):
             raise RequestError(400, "'trace' must be a boolean")
-        compat = payload.get("compat")
-        if compat is not None and not isinstance(compat, bool):
-            raise RequestError(400, "'compat' must be a boolean")
         explain = payload.get("explain", False)
         execute = payload.get("execute", False)
         if not isinstance(explain, bool) or not isinstance(execute, bool):
@@ -757,14 +717,14 @@ class EstimationService:
                 raise RequestError(
                     400, "'actuals' must be a list of numbers aligned with 'queries'"
                 )
-            return synopsis, queries, True, trace, list(actuals), compat, mode
+            return synopsis, queries, True, trace, list(actuals), mode
         text = payload.get("query")
         if not isinstance(text, str) or not text:
             raise RequestError(400, "missing 'query' field")
         actual = payload.get("actual")
         if actual is not None and not isinstance(actual, (int, float)):
             raise RequestError(400, "'actual' must be a number")
-        return synopsis, [text], False, trace, [actual], compat, mode
+        return synopsis, [text], False, trace, [actual], mode
 
     # ------------------------------------------------------------------
     # Incremental maintenance

@@ -1,8 +1,11 @@
-"""The ``repro`` package surface: ``__all__``, shims, error hierarchy."""
+"""The ``repro`` package surface: ``__all__``, the names removed in 2.0,
+the error hierarchy and the single version number."""
 
 from __future__ import annotations
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +22,18 @@ from repro.errors import (
 
 class TestAll:
     def test_all_is_the_documented_surface(self):
+        # The names docs/API.md lists under "The `repro` surface".
         assert set(repro.__all__) == {
+            "EstimateOptions",
             "EstimateResult",
             "EstimationSystem",
+            "ExecuteOptions",
+            "ExecutionResult",
+            "ExplainOptions",
+            "Plan",
             "SynopsisBuilder",
             "build_synopsis",
+            "connect",
             "parse_xml",
             "parse_query",
             "ReproError",
@@ -47,39 +57,27 @@ class TestAll:
         assert set(repro.__all__) - {"__version__"} <= set(namespace)
 
 
-class TestDeprecatedShims:
-    SHIMS = ["XmlDocument", "XmlNode", "Evaluator", "Query", "explain", "EstimateReport"]
+class TestRemovedNames:
+    """The 1.x top-level names were removed in 2.0 (they live in their
+    home modules, listed in docs/API.md)."""
 
-    @pytest.mark.parametrize("name", SHIMS)
-    def test_legacy_name_warns_then_resolves(self, name):
-        repro.__dict__.pop(name, None)  # undo the warn-once cache
-        with pytest.warns(DeprecationWarning, match=name):
-            value = getattr(repro, name)
-        assert value is not None
-        # Cached now: no second warning.
+    REMOVED = [
+        "XmlDocument", "XmlNode", "Evaluator", "Query", "explain", "EstimateReport",
+    ]
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_name_raises_attribute_error(self, name):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert getattr(repro, name) is value
+            warnings.simplefilter("error")
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
-    def test_shims_resolve_to_canonical_objects(self):
-        from repro.core.explain import explain
-        from repro.xmltree.document import XmlDocument
-
-        repro.__dict__.pop("XmlDocument", None)
-        repro.__dict__.pop("explain", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.XmlDocument is XmlDocument
-            assert repro.explain is explain
+    def test_dir_lists_no_removed_name(self):
+        assert not set(self.REMOVED) & set(dir(repro))
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
-
-    def test_dir_lists_legacy_names(self):
-        listing = dir(repro)
-        for name in self.SHIMS:
-            assert name in listing
 
 
 class TestErrorHierarchy:
@@ -113,3 +111,23 @@ class TestErrorHierarchy:
             repro.parse_xml("<a><b></a>")
         with pytest.raises(QuerySyntaxError):
             repro.parse_query("//[[")
+
+
+class TestVersion:
+    """One version number: the package, pyproject.toml and setup.py
+    agree (read with a regex: Python 3.9 has no tomllib)."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    @pytest.mark.parametrize(
+        "filename, pattern",
+        [
+            ("pyproject.toml", r'^version\s*=\s*"([^"]+)"'),
+            ("setup.py", r'^\s*version\s*=\s*"([^"]+)"'),
+        ],
+    )
+    def test_declared_version_matches_package(self, filename, pattern):
+        text = (self.ROOT / filename).read_text()
+        match = re.search(pattern, text, re.MULTILINE)
+        assert match is not None, "no version line in %s" % filename
+        assert match.group(1) == repro.__version__

@@ -76,10 +76,10 @@ def ok_single(address, method, path, payload):
         "synopsis": payload["synopsis"],
         "generation": 1,
         "results": [
-            {"query": q, "estimate": 1.0, "result": {"query": q, "estimate": 1.0}}
+            {"result": {"query": q, "value": 1.0}}
             for q in payload.get("queries", [])
         ]
-        or [{"query": payload.get("query"), "estimate": 1.0}],
+        or [{"result": {"query": payload.get("query"), "value": 1.0}}],
         "served_by": address,
     }
 
@@ -199,7 +199,7 @@ class TestScatter:
         document = router.handle_estimate({"synopsis": "demo", "queries": QUERIES})
         assert document["scattered"] == router.config.replication
         assert document["count"] == len(QUERIES)
-        assert [item["query"] for item in document["results"]] == QUERIES
+        assert [item["result"]["query"] for item in document["results"]] == QUERIES
         assert len(calls) == document["scattered"]
 
     def test_chunk_degrades_only_when_every_replica_fails_it(self):
@@ -219,7 +219,7 @@ class TestScatter:
         poisoned = document["results"][0]
         assert poisoned["error"]["kind"] == ReplicasExhaustedError.kind
         for item in document["results"][2:]:
-            assert item["estimate"] == 1.0
+            assert item["result"]["value"] == 1.0
 
     def test_batch_with_every_chunk_failing_is_502(self):
         def script(address, method, path, payload):
@@ -328,17 +328,17 @@ class TestEndToEnd:
     def test_single_estimate_matches_local(self, cluster):
         router, reference = cluster["router"], cluster["reference"]
         document = router.handle_estimate({"synopsis": "demo", "query": "//A/$B"})
-        assert document["estimate"] == reference.estimate("//A/$B")
-        assert document["result"]["value"] == document["estimate"]
+        assert document["result"]["value"] == reference.estimate("//A/$B")
         assert document["backend"] in cluster["addresses"]
 
     def test_scattered_batch_matches_local_in_order(self, cluster):
         router, reference = cluster["router"], cluster["reference"]
         document = router.handle_estimate({"synopsis": "demo", "queries": QUERIES})
         assert document["scattered"] == 2
-        assert [item["query"] for item in document["results"]] == QUERIES
-        for item in document["results"]:
-            assert item["estimate"] == reference.estimate(item["query"])
+        results = [item["result"] for item in document["results"]]
+        assert [result["query"] for result in results] == QUERIES
+        for result in results:
+            assert result["value"] == reference.estimate(result["query"])
 
     def test_killed_backend_yields_zero_failures(self, cluster):
         router, reference = cluster["router"], cluster["reference"]
@@ -354,7 +354,8 @@ class TestEndToEnd:
             )
             assert "degraded" not in document
             for item in document["results"]:
-                assert item["estimate"] == reference.estimate(item["query"])
+                result = item["result"]
+                assert result["value"] == reference.estimate(result["query"])
 
     def test_healthz_degrades_when_a_backend_dies(self, cluster):
         router = cluster["router"]
@@ -402,7 +403,7 @@ class TestEndToEnd:
             reply = replica.call(
                 "POST", "/estimate", {"synopsis": "demo", "query": "//A/$B"}
             )
-            assert reply["estimate"] == expected
+            assert reply["result"]["value"] == expected
 
     def test_router_server_speaks_service_wire(self, cluster):
         with RouterServer(cluster["router"], host="127.0.0.1", port=0) as front:

@@ -49,9 +49,10 @@ def ok(address, method, path, payload):
         "synopsis": payload["synopsis"],
         "generation": 1,
         "results": [
-            {"query": q, "estimate": 1.0} for q in payload.get("queries", [])
+            {"result": {"query": q, "value": 1.0}}
+            for q in payload.get("queries", [])
         ]
-        or [{"query": payload.get("query"), "estimate": 1.0}],
+        or [{"result": {"query": payload.get("query"), "value": 1.0}}],
         "served_by": address,
     }
 
@@ -176,7 +177,7 @@ class TestScatterUnderShed:
         document = router.handle_estimate({"synopsis": "demo", "queries": queries})
         assert document["count"] == 6
         assert "degraded" not in document
-        assert all("estimate" in r for r in document["results"])
+        assert all("result" in r for r in document["results"])
 
     def test_tier_rides_into_every_scatter_chunk(self):
         def script(address, method, path, payload):

@@ -25,8 +25,8 @@ from repro.reliability.faults import DelayFault, FaultInjector
 from repro.reliability.policy import RetryPolicy
 from repro.reliability.shedding import AdmissionGate
 from repro.service import (
+    EndpointClient,
     EstimationService,
-    ServiceClient,
     ServiceError,
     ServiceServer,
     SynopsisRegistry,
@@ -58,7 +58,7 @@ class TestLoadShedding:
                 slow_done = threading.Event()
 
                 def slow_request():
-                    ServiceClient(port=server.port).estimate("fig1", "//A/B")
+                    EndpointClient(port=server.port).estimate("fig1", "//A/B")
                     slow_done.set()
 
                 slow = threading.Thread(target=slow_request)
@@ -66,7 +66,7 @@ class TestLoadShedding:
                 assert wait_for(lambda: gate.inflight == 1)
 
                 with pytest.raises(ServiceError) as info:
-                    ServiceClient(port=server.port).estimate("fig1", "//A/B")
+                    EndpointClient(port=server.port).estimate("fig1", "//A/B")
                 assert info.value.status == 503
                 assert info.value.kind == "overloaded"
                 assert info.value.retry_after_s == pytest.approx(0.05)
@@ -74,7 +74,7 @@ class TestLoadShedding:
 
                 slow.join(timeout=10)
                 assert slow_done.is_set()
-            metrics = ServiceClient(port=server.port).metrics()
+            metrics = EndpointClient(port=server.port).metrics()
             assert metrics["counters"]["shed_total"] >= 1
             assert metrics["reliability"]["shed_total"] >= 1
             assert metrics["reliability"]["max_inflight"] == 1
@@ -85,7 +85,7 @@ class TestLoadShedding:
         with tight_server(figure1_system, gate=gate) as server:
             with faults.inject(injector):
                 slow = threading.Thread(
-                    target=ServiceClient(port=server.port).estimate,
+                    target=EndpointClient(port=server.port).estimate,
                     args=("fig1", "//A/B"),
                 )
                 slow.start()
@@ -97,7 +97,7 @@ class TestLoadShedding:
                     pauses.append(seconds)
                     time.sleep(seconds)
 
-                client = ServiceClient(
+                client = EndpointClient(
                     port=server.port,
                     retry=RetryPolicy(max_attempts=8, base_backoff_s=0.1),
                     sleep=recording_sleep,
@@ -114,7 +114,7 @@ class TestLoadShedding:
         with tight_server(figure1_system, gate=gate) as server:
             gate.enter()  # wedge the server at capacity for good
             try:
-                client = ServiceClient(
+                client = EndpointClient(
                     port=server.port,
                     retry=RetryPolicy(max_attempts=50, base_backoff_s=0.2),
                     retry_budget_s=0.3,
@@ -135,21 +135,21 @@ class TestDeadlines:
         with tight_server(figure1_system, request_deadline_s=0.05) as server:
             with faults.inject(injector):
                 with pytest.raises(ServiceError) as info:
-                    ServiceClient(port=server.port).estimate("fig1", "//A/B")
+                    EndpointClient(port=server.port).estimate("fig1", "//A/B")
             assert info.value.status == 504
             assert info.value.kind == "deadline_exceeded"
-            metrics = ServiceClient(port=server.port).metrics()
+            metrics = EndpointClient(port=server.port).metrics()
             assert metrics["counters"]["deadline_exceeded_total"] == 1
 
     def test_fast_requests_unaffected_by_deadline(self, figure1_system):
         with tight_server(figure1_system, request_deadline_s=5.0) as server:
-            client = ServiceClient(port=server.port)
+            client = EndpointClient(port=server.port)
             assert client.estimate("fig1", "//A/B") == figure1_system.estimate("//A/B")
 
 
 class TestHotReloadFallbackOverHTTP:
     def test_truncated_snapshot_never_changes_estimates(self, running_server):
-        client = ServiceClient(port=running_server.port)
+        client = EndpointClient(port=running_server.port)
         baseline = client.estimate("fig1", "//A/B")
         assert client.healthz()["status"] == "ok"
 
@@ -190,7 +190,7 @@ class TestGracefulShutdown:
 
             def slow_request():
                 try:
-                    outcome["value"] = ServiceClient(port=server.port).estimate(
+                    outcome["value"] = EndpointClient(port=server.port).estimate(
                         "fig1", "//A/B"
                     )
                 except Exception as error:  # pragma: no cover - failure detail
@@ -211,7 +211,7 @@ class TestClientTransportKinds:
             probe.bind(("127.0.0.1", 0))
             dead_port = probe.getsockname()[1]
         with pytest.raises(ServiceError) as info:
-            ServiceClient(port=dead_port, keep_alive=False).healthz()
+            EndpointClient(port=dead_port, keep_alive=False).healthz()
         assert info.value.kind == "connection"
         assert info.value.status == 0
         assert info.value.retryable
@@ -238,7 +238,7 @@ class TestClientTransportKinds:
         thread.start()
         try:
             with pytest.raises(ServiceError) as info:
-                ServiceClient(port=httpd.server_address[1], keep_alive=False).healthz()
+                EndpointClient(port=httpd.server_address[1], keep_alive=False).healthz()
             assert info.value.kind == "bad_response"
             assert info.value.status == 200
             assert not info.value.retryable
@@ -252,7 +252,7 @@ class TestClientTransportKinds:
             probe.bind(("127.0.0.1", 0))
             dead_port = probe.getsockname()[1]
         breaker = CircuitBreaker(failure_threshold=2, recovery_after_s=60.0)
-        client = ServiceClient(port=dead_port, keep_alive=False, breaker=breaker)
+        client = EndpointClient(port=dead_port, keep_alive=False, breaker=breaker)
         for _ in range(2):
             with pytest.raises(ServiceError):
                 client.healthz()
@@ -268,12 +268,12 @@ class TestClientTransportKinds:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead_port = probe.getsockname()[1]
-        down = ServiceClient(port=dead_port, keep_alive=False, breaker=breaker)
+        down = EndpointClient(port=dead_port, keep_alive=False, breaker=breaker)
         with pytest.raises(ServiceError):
             down.healthz()
         assert breaker.state == "open"
         clock_now[0] = 10.0  # recovery window elapses
         with tight_server(figure1_system) as server:
-            up = ServiceClient(port=server.port, breaker=breaker)
+            up = EndpointClient(port=server.port, breaker=breaker)
             assert up.healthz()["status"] == "ok"  # the half-open probe
             assert breaker.state == "closed"

@@ -1,9 +1,9 @@
 """Wire format of the ``cache`` attribution object (satellite of the
 semantic result cache).
 
-``result.cache = {"plan": bool, "result": bool}`` is the structured
-attribution; the legacy flat ``cached`` boolean is kept as a compat
-alias of ``cache["plan"]`` behind ``compat_fields``.
+``result.cache = {"plan": bool, "result": bool}`` is the only cache
+attribution on the wire: whether the compiled-plan cache hit and whether
+the semantic result cache (or the within-batch memo) served the value.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class TestResultRoundTrip:
             query="//A/$B",
             route="no_order",
             elapsed_ms=0.2,
-            cached=True,
             kernel=True,
             cache={"plan": True, "result": False},
         )
@@ -57,7 +56,7 @@ class TestServiceWire:
         assert isinstance(cache["plan"], bool)
         assert isinstance(cache["result"], bool)
 
-    def test_legacy_cached_is_an_alias_of_cache_plan(self, service):
+    def test_repeat_query_hits_the_plan_cache(self, service):
         first = service.handle_estimate(
             {"synopsis": "fig1", "query": "//A/$C"}
         )
@@ -65,17 +64,10 @@ class TestServiceWire:
             {"synopsis": "fig1", "query": "//A/$C"}
         )
         for reply in (first, second):
-            assert reply["cached"] == reply["result"]["cache"]["plan"]
+            assert "cached" not in reply["result"]
         assert first["result"]["cache"]["plan"] is False
         assert second["result"]["cache"]["plan"] is True
         assert second["result"]["cache"]["result"] is True
-
-    def test_compat_off_drops_the_flat_alias_but_keeps_cache(self, service):
-        reply = service.handle_estimate(
-            {"synopsis": "fig1", "query": "//A/$B", "compat": False}
-        )
-        assert "cached" not in reply
-        assert "cache" in reply["result"]
 
     def test_trace_requests_report_both_flags_false(self, service):
         reply = service.handle_estimate(
@@ -93,9 +85,8 @@ class TestServiceWire:
         results = reply["results"]
         assert results[0]["result"]["cache"]["result"] in (False, True)
         third = results[2]
-        assert third["cached"] is True
         assert third["result"]["cache"] == {"plan": True, "result": True}
-        values = {result["estimate"] for result in results}
+        values = {item["result"]["value"] for item in results}
         assert len(values) == 1
 
     def test_equivalent_spellings_share_within_a_batch(self, service):
@@ -107,7 +98,7 @@ class TestServiceWire:
         )
         first, second = reply["results"]
         assert second["result"]["cache"]["result"] is True
-        assert second["estimate"] == first["estimate"]
+        assert second["result"]["value"] == first["result"]["value"]
         assert second["result"]["elapsed_ms"] == 0.0
 
     def test_metrics_document_exposes_the_semcache_block(self, service):

@@ -12,31 +12,31 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.service import ServiceClient
+from repro.service import EndpointClient
 
 
 class TestKeepAliveReuse:
     def test_many_requests_one_connection(self, running_server):
-        with ServiceClient(port=running_server.port) as client:
+        with EndpointClient(port=running_server.port) as client:
             for _ in range(10):
                 client.healthz()
             assert client.connects_total == 1
 
     def test_estimates_share_the_connection(self, running_server):
-        with ServiceClient(port=running_server.port) as client:
+        with EndpointClient(port=running_server.port) as client:
             client.estimate("fig1", "//A/B")
             client.estimate_batch("fig1", ["//A", "//A/B"])
             client.metrics()
             assert client.connects_total == 1
 
     def test_no_keep_alive_connects_per_request(self, running_server):
-        with ServiceClient(port=running_server.port, keep_alive=False) as client:
+        with EndpointClient(port=running_server.port, keep_alive=False) as client:
             for _ in range(5):
                 client.healthz()
             assert client.connects_total == 5
 
     def test_explicit_close_reconnects(self, running_server):
-        with ServiceClient(port=running_server.port) as client:
+        with EndpointClient(port=running_server.port) as client:
             client.healthz()
             client.close()
             client.healthz()
@@ -88,7 +88,7 @@ class TestServerDropsConnection:
         server = _DroppingServer()
         server.start()
         try:
-            with ServiceClient(port=server.port) as client:
+            with EndpointClient(port=server.port) as client:
                 assert client.healthz()["status"] == "ok"
                 assert client.connects_total == 1
                 # The kept connection is dead; the client must notice,

@@ -8,11 +8,11 @@ import urllib.request
 
 import pytest
 
-from repro.service import ServiceClient, ServiceError
+from repro.service import EndpointClient, ServiceError
 
 
 def client_for(server):
-    return ServiceClient(port=server.port)
+    return EndpointClient(port=server.port)
 
 
 def raw_error_body(server, path, data=None, method=None):

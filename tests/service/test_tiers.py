@@ -230,7 +230,7 @@ class TestBrownoutIntegration:
             service.gate.leave(tier)
         # Level >= 1 sheds observability: trace requests get estimates
         # but no span tree.
-        assert "estimate" in reply
+        assert "value" in reply["result"]
         assert not reply["result"].get("trace")
         assert reply["brownout"] == "shed_bulk"
 

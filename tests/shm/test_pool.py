@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro import persist
-from repro.service import ServerConfig, ServiceClient
+from repro.service import EndpointClient, ServerConfig
 from repro.service.config import SERVING_GC_THRESHOLD
 from repro.shm import WorkerPool, pool_supported, stage_packs
 from repro.shm.control import ControlServer, pool_health, pool_metrics, render_pool_prom
@@ -54,7 +54,7 @@ def pool(pool_dir):
 
 @pytest.fixture()
 def client(pool):
-    with ServiceClient(port=pool.port) as client:
+    with EndpointClient(port=pool.port) as client:
         yield client
 
 
