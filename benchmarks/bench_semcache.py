@@ -38,6 +38,9 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_SEMCACHE_MIN_SPEEDUP", "3.0"))
 MIN_HIT_RATE = float(os.environ.get("REPRO_SEMCACHE_MIN_HIT_RATE", "0.5"))
 ZIPF_S = 1.1
 SWEEP_REPEATS = 3
+#: Each timed sweep repeats the schedule until it has run this long, so
+#: one slow stretch of the host cannot decide a whole sweep.
+MIN_SWEEP_S = 0.25
 DATASETS = ("SSPlays", "DBLP", "XMark")
 
 
@@ -59,16 +62,21 @@ def _zipf_schedule(texts, seed=29):
     return random.Random(seed).choices(texts, weights=weights, k=count)
 
 
-def _best_sweep_s(system, schedule):
-    """Best-of-N wall time for one pass over the schedule."""
-    best = float("inf")
+def _best_qps(system, schedule):
+    """Best-of-N requests per second; each sweep replays the schedule
+    until it has run for at least ``MIN_SWEEP_S``."""
+    best = 0.0
     for _ in range(SWEEP_REPEATS):
+        sent = 0
         start = time.perf_counter()
-        for text in schedule:
-            system.estimate(text)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
+        while True:
+            for text in schedule:
+                system.estimate(text)
+            sent += len(schedule)
+            elapsed = time.perf_counter() - start
+            if elapsed >= MIN_SWEEP_S:
+                break
+        best = max(best, sent / elapsed)
     return best
 
 
@@ -100,19 +108,17 @@ def test_semcache_zipf_qps(ctx):
         # Control arm: the semantic cache is the only result cache on
         # this path, so disabling it yields honest uncached QPS.
         system.semcache.configure(0, None)
-        _best_sweep_s(system, schedule)  # warm parse + kernel caches
-        uncached_s = _best_sweep_s(system, schedule)
+        _best_qps(system, schedule)  # warm parse + kernel caches
+        uncached_qps = _best_qps(system, schedule)
 
         system.semcache.configure(max(4096, 2 * len(texts)), None)
         before = system.semcache.stats()
-        cold_s = _best_sweep_s(system, schedule)  # first round is the cold fill
-        cached_s = min(cold_s, _best_sweep_s(system, schedule))
+        cold_qps = _best_qps(system, schedule)  # first round is the cold fill
+        cached_qps = max(cold_qps, _best_qps(system, schedule))
         after = system.semcache.stats()
 
         lookups = (after.hits + after.misses) - (before.hits + before.misses)
         hit_rate = (after.hits - before.hits) / max(lookups, 1)
-        uncached_qps = len(schedule) / uncached_s
-        cached_qps = len(schedule) / cached_s
         speedups[name] = cached_qps / uncached_qps
         hit_rates[name] = hit_rate
         rows.append(

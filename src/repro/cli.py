@@ -248,27 +248,52 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _semcache_capacity(args: argparse.Namespace) -> int:
-    return 0 if args.no_semcache else max(0, args.semcache_capacity)
+def _server_config(args: argparse.Namespace):
+    """The one :class:`ServerConfig` both ``repro serve`` paths run;
+    ``ValueError`` names the first out-of-range flag value."""
+    from repro.service import ServerConfig
+
+    return ServerConfig(
+        host=args.host,
+        port=args.port,
+        plan_cache_capacity=args.plan_cache,
+        semcache_capacity=0 if args.no_semcache else args.semcache_capacity,
+        semcache_ttl_s=args.semcache_ttl or None,
+        reload_interval_s=args.reload_interval,
+        max_inflight=args.max_inflight,
+        request_deadline_s=args.deadline or None,
+        drain_timeout_s=args.drain_timeout,
+        workers=args.workers,
+        control_port=None if args.control_port < 0 else args.control_port,
+        trace_sample_rate=args.trace_sample_rate,
+        slowlog_capacity=args.slowlog_capacity,
+        slowlog_threshold_ms=args.slowlog_threshold_ms,
+        slowlog_top_k=args.slowlog_top_k,
+        qos=not args.no_qos,
+        bulk_max_inflight=args.bulk_inflight,
+        standard_queue=args.standard_queue,
+        brownout=not args.no_brownout,
+        read_deadline_s=args.read_deadline or None,
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import (
-        EstimationService,
-        PlanCache,
-        ServiceServer,
-        SynopsisRegistry,
-    )
+    from repro.service import SynopsisRegistry, serve
     from repro.service.config import SERVING_GC_THRESHOLD
 
     if not os.path.isdir(args.snapshot_dir):
         print("error: snapshot dir %r does not exist" % args.snapshot_dir,
               file=sys.stderr)
         return 1
-    if args.workers > 1:
-        return _serve_pool(args)
+    try:
+        config = _server_config(args)
+    except ValueError as error:
+        print("error: %s" % error, file=sys.stderr)
+        return 1
+    if config.workers > 1:
+        return _serve_pool(args.snapshot_dir, config)
     registry = SynopsisRegistry(
-        args.snapshot_dir, check_interval=args.reload_interval
+        args.snapshot_dir, check_interval=config.reload_interval_s
     )
     names = registry.scan()
     gc.set_threshold(*SERVING_GC_THRESHOLD)
@@ -284,53 +309,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             % args.snapshot_dir,
             file=sys.stderr,
         )
-    from repro.obs.slowlog import SlowQueryLog
-    from repro.reliability import AdmissionGate
-    from repro.reliability.brownout import BrownoutController
-    from repro.reliability.shedding import TieredAdmissionGate, default_tiers
-
-    brownout = None
-    if args.no_qos:
-        gate = AdmissionGate(max_inflight=args.max_inflight)
-    else:
-        gate = TieredAdmissionGate(
-            tiers=default_tiers(
-                args.max_inflight,
-                bulk_max_inflight=args.bulk_inflight,
-                standard_queue=args.standard_queue,
-                request_deadline_s=args.deadline or None,
-            ),
-            max_total=args.max_inflight,
-        )
-        if not args.no_brownout:
-            brownout = BrownoutController()
-    service = EstimationService(
-        registry,
-        plan_cache=PlanCache(args.plan_cache),
-        gate=gate,
-        semcache_capacity=_semcache_capacity(args),
-        semcache_ttl_s=args.semcache_ttl or None,
-        request_deadline_s=args.deadline or None,
-        slow_log=SlowQueryLog(
-            capacity=args.slowlog_capacity,
-            threshold_ms=args.slowlog_threshold_ms,
-            top_k=args.slowlog_top_k,
-        ),
-        trace_sample_rate=args.trace_sample_rate,
-        brownout=brownout,
-    )
-    server = ServiceServer(
-        service,
-        host=args.host,
-        port=args.port,
-        read_deadline_s=args.read_deadline or None,
-    )
+    server = serve(args.snapshot_dir, config=config, registry=registry)
     print(
         "serving %d synopsis(es) [%s] on http://%s:%d (plan cache %d, "
         "semcache %d)"
         % (
             len(names), ", ".join(names), server.host, server.port,
-            args.plan_cache, _semcache_capacity(args),
+            config.plan_cache_capacity, config.semcache_capacity,
         ),
         flush=True,
     )
@@ -340,8 +325,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         # Graceful: shed new work, let in-flight estimates finish.
-        service.gate.close()
-        service.gate.drain(args.drain_timeout)
+        server.service.gate.close()
+        server.service.gate.drain(config.drain_timeout_s)
         server.httpd.server_close()
     return 0
 
@@ -445,48 +430,24 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_pool(args: argparse.Namespace) -> int:
+def _serve_pool(snapshot_dir: str, config) -> int:
     """``repro serve --workers N``: the pre-fork SO_REUSEPORT pool."""
     import signal
     import threading
 
-    from repro.service import ServerConfig, serve_pool
+    from repro.service import serve_pool
     from repro.shm import WorkerPoolError, pool_supported
 
     if not pool_supported():
         print(
             "error: --workers %d needs os.fork and SO_REUSEPORT "
             "(unavailable on this platform); run --workers 1"
-            % args.workers,
+            % config.workers,
             file=sys.stderr,
         )
         return 1
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        plan_cache_capacity=args.plan_cache,
-        semcache_capacity=_semcache_capacity(args),
-        semcache_ttl_s=args.semcache_ttl or None,
-        reload_interval_s=args.reload_interval,
-        max_inflight=args.max_inflight,
-        request_deadline_s=args.deadline or None,
-        drain_timeout_s=args.drain_timeout,
-        workers=args.workers,
-        control_port=None if args.control_port < 0 else args.control_port,
-        trace_sample_rate=args.trace_sample_rate,
-        slowlog_capacity=args.slowlog_capacity,
-        slowlog_threshold_ms=args.slowlog_threshold_ms,
-        slowlog_top_k=args.slowlog_top_k,
-        qos=not args.no_qos,
-        bulk_max_inflight=args.bulk_inflight,
-        standard_queue=args.standard_queue,
-        brownout=not args.no_brownout,
-        read_deadline_s=args.read_deadline or None,
-    )
     try:
-        pool, control = serve_pool(
-            args.snapshot_dir, config=config
-        )
+        pool, control = serve_pool(snapshot_dir, config=config)
         pool._on_event = lambda line: print(line, file=sys.stderr, flush=True)
         pool.start()
     except WorkerPoolError as error:
@@ -504,7 +465,7 @@ def _serve_pool(args: argparse.Namespace) -> int:
     print(
         "serving with %d workers on http://%s:%d (%d kernelpack(s) staged%s)"
         % (
-            args.workers, pool.host, pool.port, staged,
+            config.workers, pool.host, pool.port, staged,
             "; control on http://%s:%d" % (control.host, control.port)
             if control is not None else "",
         ),

@@ -42,6 +42,7 @@ rendering, which still merges textual variants of the same tree.
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from repro.xpath.ast import _AXIS_TOKEN, Query, QueryNode
@@ -106,6 +107,7 @@ def canonical_key(query: Query, commutative: bool = True) -> str:
     )
 
 
+@lru_cache(maxsize=None)
 def options_fingerprint(fixpoint: bool = True, depth_consistent: bool = True) -> str:
     """A short stable token for the estimate options that change the
     numeric result.  Distinct option combinations must never share a

@@ -9,8 +9,9 @@ query optimizers.  This package is that shipping lane, stdlib only:
   *live* synopses maintained in place under appends
   (:mod:`repro.stats.maintenance`);
 * :mod:`repro.service.plancache` — an LRU of compiled plans (parsed AST,
-  chosen estimation route, scoped-axis rewrite variants, memoized
-  estimate) so hot queries skip parsing and routing entirely;
+  chosen estimation route, scoped-axis rewrite variants, canonical key)
+  so hot queries skip parsing and routing entirely; the estimate itself
+  is read through each synopsis's semantic result cache;
 * :mod:`repro.service.metrics` — registry-backed request/error counters,
   a latency ring buffer with p50/p95/p99, per-synopsis QPS and both JSON
   and Prometheus exposition;

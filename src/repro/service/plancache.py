@@ -1,20 +1,21 @@
-"""Compiled-plan LRU cache for the estimation service.
+"""Compiled-query LRU cache for the estimation service.
 
 Estimating a query string from scratch means tokenizing + parsing it,
 scanning its edges to pick a route, and — for scoped ``foll``/``pre``
 axes — running the Example 5.3 rewrite (itself a full path join) before
 any estimation happens.  All of that is a pure function of
-``(synopsis generation, query text)``, as is the estimate itself, so a
-hot query can skip straight to the memoized answer.
+``(synopsis generation, query text)``, so a hot query compiles once.
 
 A :class:`CompiledPlan` therefore carries the parsed AST, the chosen
 route (:data:`~repro.core.system.ROUTE_NO_ORDER` /
 :data:`~repro.core.system.ROUTE_ORDER` /
 :data:`~repro.core.system.ROUTE_SCOPED`), the precomputed rewrite
-variants for scoped queries, and the lazily memoized estimate.
-:class:`PlanCache` is a thread-safe LRU keyed by
-``(synopsis name, generation, query text)`` — hot reloads and live
-appends bump the generation, so stale plans simply age out.
+variants for scoped queries and the canonical key.  It holds no
+estimate: the served value is read through the synopsis's semantic
+result cache, keyed by that canonical key.  :class:`PlanCache` is a
+thread-safe LRU keyed by ``(synopsis name, generation, query text)`` —
+hot reloads and live appends bump the generation, so stale plans simply
+age out.
 """
 
 from __future__ import annotations
@@ -26,20 +27,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.axis_rewrite import rewrite_scoped_order_query
 from repro.core.system import ROUTE_NO_ORDER, ROUTE_SCOPED, EstimationSystem
-from repro.semcache import canonical_key, options_fingerprint
+from repro.semcache import canonical_key
 from repro.xpath.ast import Query
 from repro.xpath.parser import parse_query
 
 DEFAULT_CAPACITY = 512
 
-# Service plans always run with default estimate options.
-_DEFAULT_FINGERPRINT = options_fingerprint(True, True)
-
 
 class CompiledPlan:
     """A query compiled against one synopsis generation."""
 
-    __slots__ = ("text", "query", "route", "variants", "kernel", "result", "canonical")
+    __slots__ = ("text", "query", "route", "variants", "kernel", "canonical")
 
     def __init__(
         self,
@@ -56,70 +54,19 @@ class CompiledPlan:
         # True when the plan was compiled against a live synopsis kernel
         # (its no-order joins were pre-planned on the bitset path).
         self.kernel = kernel
-        # Lazily memoized estimate; estimation is deterministic for a
-        # fixed synopsis generation, and the cache key pins the
-        # generation, so the first computed value is the value.
-        self.result: Optional[float] = None
         # Semantic-cache key, computed once at compile time (off the
         # hot path) so equivalent-but-differently-written texts share
         # one entry in the system's SemanticResultCache.
         self.canonical = canonical_key(query)
 
     def execute(self, system: EstimationSystem) -> float:
-        value = self.result
-        if value is None:
-            if self.variants is not None:
-                value = sum(
-                    system._estimate_routed(query, route)
-                    for query, route in self.variants
-                )
-            else:
-                value = system._estimate_routed(self.query, self.route)
-            self.result = value
-        return value
-
-    def execute_cached(self, system: EstimationSystem) -> Tuple[float, bool]:
-        """Execute through every result memo; ``(value, result_hit)``.
-
-        ``result_hit`` is True when the value came from a memo instead
-        of a fresh execution: the plan's own per-generation float, or
-        the system's semantic result cache (where equivalent texts —
-        reordered branches, spelling variants — share one entry).  A
-        miss executes and populates both layers.
-        """
-        value = self.result
-        if value is not None:
-            return value, True
-        cache = system.semcache
-        read_through = cache.enabled and system.kernel_enabled
-        if read_through:
-            hit, value = cache.get(self.canonical, _DEFAULT_FINGERPRINT)
-            if hit:
-                self.result = value
-                return value, True
-        value = self.execute(system)
-        if read_through:
-            cache.put(self.canonical, _DEFAULT_FINGERPRINT, value)
-        return value, False
-
-    def execute_traced(self, system: EstimationSystem, tracer) -> float:
-        """Re-run the estimation under ``tracer``.
-
-        The memoized ``result`` is deliberately bypassed: a traced
-        request must observe the spans and counters of a *real*
-        execution, and a cached float has none.  The fresh value (equal
-        to the memoized one — estimation is deterministic per
-        generation) re-primes ``result`` for untraced followers.
-        """
+        """Estimate the plan on ``system`` (a fresh execution)."""
         if self.variants is not None:
-            value = sum(
-                system._estimate_routed(query, route, tracer=tracer)
+            return sum(
+                system._estimate_routed(query, route)
                 for query, route in self.variants
             )
-        else:
-            value = system._estimate_routed(self.query, self.route, tracer=tracer)
-        self.result = value
-        return value
+        return system._estimate_routed(self.query, self.route)
 
 
 def compile_plan(system: EstimationSystem, text: str) -> CompiledPlan:
@@ -184,7 +131,7 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """Thread-safe LRU of compiled plans.
+    """Thread-safe LRU from query text to compiled plan.
 
     ``capacity=0`` disables caching: every lookup compiles afresh (and
     counts as a miss), which is the control arm of the throughput

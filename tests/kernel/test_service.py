@@ -1,6 +1,6 @@
 """Service-level kernel behavior: response fields, batch memo, metrics.
 
-Traced requests bypass the compiled-plan memo, so their ``kernel`` field
+Traced requests bypass the semantic result cache, so their ``kernel`` field
 is derived from the span tree of the real execution (a ``bitset_join``
 span) rather than from plan state — the observability overhead gate
 stays meaningful either way.

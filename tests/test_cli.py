@@ -111,6 +111,15 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve"])
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("flag", ["--plan-cache", "--semcache-ttl"])
+    def test_negative_cache_knob_is_an_error(self, tmp_path, capsys, flag, workers):
+        code = main(["serve", "--snapshot-dir", str(tmp_path),
+                     "--workers", workers, flag, "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestTraffic:
     @pytest.fixture()
