@@ -14,7 +14,7 @@ Quickstart::
     system = repro.build_synopsis("<Root><A><B/><C/></A></Root>")
     system.estimate("//A/$B")               # -> 1.0
     system.estimate("//A[/B/folls::$C]")    # order axis
-    system.explain("//A/$B")                # -> cost-based Plan IR
+    system.explain("//A/$B")                # -> Plan IR (semijoin steps)
     system.execute("//A/$B")                # -> matches + estimate + plan
     system.estimate(
         "//A/$B", options=repro.EstimateOptions(trace=True)
@@ -48,7 +48,7 @@ from repro.errors import (
 from repro.xmltree.parser import parse_xml
 from repro.xpath.parser import parse_query
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: The supported public surface.  Everything else lives in its home
 #: submodule (``repro.xmltree``, ``repro.xpath``, ``repro.core``, ...).

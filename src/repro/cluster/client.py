@@ -186,7 +186,7 @@ class Client:
         return results
 
     def explain(self, synopsis: str, query: str) -> Dict[str, Any]:
-        """The server-side cost-based plan IR for ``query`` (see
+        """The server-side plan IR for ``query`` (see
         :meth:`EndpointClient.explain`); fails over across seeds like
         every other call."""
         return self._call("explain", synopsis, query)

@@ -1,16 +1,9 @@
-"""Structured explanations of estimates and execution plans.
+"""Formula-level explanations of estimates.
 
-Two complementary views:
-
-* :func:`explain` re-derives the estimation route (which rule of the
-  paper applies) and exposes the intermediate quantities — the
-  *formula-level* narrative;
-* :func:`explain_plan` returns the :class:`~repro.plan.ir.Plan` the
-  cost-based planner would execute for the query — ordered semijoin
-  steps with expected cardinalities — and, with
-  ``ExplainOptions(analyze=True)``, actually runs it so each step also
-  carries observed cardinalities.  :meth:`EstimationSystem.explain`
-  delegates here.
+:func:`explain` re-derives the estimation route (which rule of the
+paper applies) and exposes the intermediate quantities.  The execution
+plan view is :meth:`EstimationSystem.explain`, which returns the
+:class:`~repro.plan.ir.Plan` that ``execute`` would run.
 
 The reported ``estimate`` is always identical to
 ``EstimationSystem.estimate`` (a test pins this).
@@ -19,7 +12,7 @@ The reported ``estimate`` is always identical to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.core.axis_rewrite import rewrite_scoped_order_query, scoped_order_edges
 from repro.core.noorder import branching_ancestor, estimate_no_order, prune_to_spine
@@ -50,45 +43,6 @@ class EstimateReport:
         for variant in self.variants:
             lines.append(variant.render(indent + 1))
         return "\n".join(lines)
-
-
-def explain_plan(
-    system: EstimationSystem,
-    query: Union[str, Query],
-    *,
-    options=None,
-    document=None,
-):
-    """The cost-based :class:`~repro.plan.ir.Plan` for ``query``.
-
-    Pure planning (the default) needs only the synopsis; ``analyze=True``
-    executes the plan against the system's document (or ``document=``)
-    and returns it with per-step observed cardinalities and any mid-plan
-    replans applied.
-    """
-    from repro.core.options import ExecuteOptions, ExplainOptions
-
-    opts = options if options is not None else ExplainOptions()
-    parsed = _coerce_query(query)
-    if opts.analyze:
-        result = system.execute(
-            parsed,
-            options=ExecuteOptions(
-                use_path_ids=opts.use_path_ids,
-                naive_order=opts.naive_order,
-                drift_threshold=opts.drift_threshold,
-            ),
-            document=document,
-        )
-        return result.plan
-    plan = system.planner().plan(
-        parsed,
-        use_path_ids=opts.use_path_ids,
-        naive_order=opts.naive_order,
-        drift_threshold=opts.drift_threshold,
-    )
-    system.planner_stats.record_plan(plan)
-    return plan
 
 
 def explain(system: EstimationSystem, query: Union[str, Query]) -> EstimateReport:

@@ -9,7 +9,7 @@ keyword arguments:
 * :class:`ExplainOptions` — :meth:`EstimationSystem.explain`.
 
 All fields have defaults, so ``system.execute(q)`` works bare; callers
-that tune anything pass ``options=ExecuteOptions(drift_threshold=2.0)``.
+that tune anything pass ``options=ExecuteOptions(use_path_ids=False)``.
 The dataclasses are frozen: an options object can be built once and
 shared across threads/requests.
 """
@@ -22,13 +22,7 @@ __all__ = [
     "EstimateOptions",
     "ExecuteOptions",
     "ExplainOptions",
-    "DEFAULT_DRIFT_THRESHOLD",
 ]
-
-#: Replan when an up-step's observed output diverges from its prediction
-#: by more than this multiplicative factor (in either direction).  See
-#: docs/PLANNER.md for how the default was chosen.
-DEFAULT_DRIFT_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -62,25 +56,9 @@ class ExecuteOptions:
     use_path_ids:
         Prune initial candidate lists by the Section-4 path join before
         any structural semijoin runs.
-    naive_order:
-        Skip cost-based ordering: run the up-phase edges in authored
-        order (the baseline the benchmarks compare against).
-    adaptive:
-        Re-plan the remaining steps when observed cardinalities drift
-        from the estimates mid-plan.
-    drift_threshold:
-        Multiplicative observed/predicted divergence that triggers a
-        replan (``max(ratio, 1/ratio) > threshold``).
-    max_replans:
-        Upper bound on mid-plan replans (keeps adversarial estimate
-        quality from turning execution into planning).
     """
 
     use_path_ids: bool = True
-    naive_order: bool = False
-    adaptive: bool = True
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
-    max_replans: int = 3
 
 
 @dataclass(frozen=True)
@@ -91,12 +69,10 @@ class ExplainOptions:
         Also execute the plan (needs the document) so every step carries
         observed cardinalities next to its estimates — the
         ``EXPLAIN ANALYZE`` of the system.
-    use_path_ids / naive_order / drift_threshold:
-        Same knobs as :class:`ExecuteOptions`, so an explained plan is
+    use_path_ids:
+        Same knob as :class:`ExecuteOptions`, so an explained plan is
         the plan ``execute`` would run.
     """
 
     analyze: bool = False
     use_path_ids: bool = True
-    naive_order: bool = False
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD

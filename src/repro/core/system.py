@@ -117,15 +117,10 @@ class EstimationSystem:
         #: kernel invalidation bumps its generation (O(1) wholesale
         #: invalidation — no entry scans).
         self.semcache = SemanticResultCache()
-        # Cost-based planning (repro.plan): one shared planner so its
-        # memoized cost model warms up across queries, one processor per
-        # served document, and the counters /metrics aggregates.
-        from repro.plan.ir import PlannerStats
-
-        self.planner_stats = PlannerStats()
-        self._planner = None
+        #: Semijoin processor over the system's own document, built on
+        #: the first ``execute()`` (see :meth:`_processor_for`).
         self._processor = None
-        self._plan_lock = threading.Lock()
+        self._processor_lock = threading.Lock()
 
     #: Back-reference to the :class:`repro.cluster.delta.IncrementalSynopsis`
     #: that materialized this system (None for ordinary builds).  Set by
@@ -372,9 +367,6 @@ class EstimationSystem:
         self.semcache.bump_generation()
         with self._kernel_lock:
             kernel, self._kernel = self._kernel, None
-        planner = self._planner
-        if planner is not None:
-            planner.cost_model.clear()  # estimates may come from a new synopsis
         if kernel is not None:
             kernel.invalidate()
             return True
@@ -674,24 +666,6 @@ class EstimationSystem:
     # Execution and plans (repro.plan)
     # ------------------------------------------------------------------
 
-    def planner(self):
-        """The shared :class:`~repro.plan.planner.CostBasedPlanner`.
-
-        Built lazily; lives as long as the system so its memoized cost
-        model amortizes sub-pattern estimates across queries and
-        replans.
-        """
-        planner = self._planner
-        if planner is None:
-            from repro.plan.planner import CostBasedPlanner
-
-            with self._plan_lock:
-                planner = self._planner
-                if planner is None:
-                    planner = CostBasedPlanner(self)
-                    self._planner = planner
-        return planner
-
     def execute(
         self,
         query: Union[str, Query],
@@ -701,9 +675,9 @@ class EstimationSystem:
     ):
         """Plan and run ``query``, returning matches plus the estimate.
 
-        Builds a cost-based :class:`~repro.plan.ir.Plan` (join orders
-        chosen by kernel estimates), executes it through the structural
-        semijoin machinery with adaptive re-optimization, and returns an
+        Builds the :class:`~repro.plan.ir.Plan` (the authored-order
+        semijoin program, each step priced by the cost model), runs it
+        through the structural semijoin machinery and returns an
         :class:`~repro.plan.ir.ExecutionResult`: the exact matching
         pre-orders, the structured estimate for the same query, and the
         executed plan with per-step observed cardinalities.
@@ -715,7 +689,7 @@ class EstimationSystem:
         :class:`~repro.errors.ExecutionUnsupportedError` — kind
         ``"execute_unsupported"`` on the wire.
         """
-        from repro.plan.executor import AdaptivePlanExecutor
+        from repro.plan.cost import build_plan
         from repro.plan.ir import ExecutionResult
 
         opts = options if options is not None else ExecuteOptions()
@@ -730,23 +704,11 @@ class EstimationSystem:
                 % (self.name,)
             )
         start = time.perf_counter()
-        planner = self.planner()
-        plan = planner.plan(
-            parsed,
-            use_path_ids=opts.use_path_ids,
-            naive_order=opts.naive_order,
-            drift_threshold=opts.drift_threshold,
+        plan = build_plan(self, parsed, opts.use_path_ids)
+        matches = self._processor_for(target_document).matching_pres(
+            parsed, opts.use_path_ids, plan=plan
         )
-        self.planner_stats.record_plan(plan)
-        executor = AdaptivePlanExecutor(
-            planner,
-            self._processor_for(target_document),
-            adaptive=opts.adaptive,
-            max_replans=opts.max_replans,
-        )
-        matches = executor.run(plan, parsed)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.planner_stats.record_execution(plan)
         estimate = EstimateResult(
             value=plan.est_cardinality,
             query=parsed.to_string(),
@@ -767,14 +729,22 @@ class EstimationSystem:
         """The :class:`~repro.plan.ir.Plan` ``execute`` would run.
 
         Pure planning needs no document (estimates only);
-        ``ExplainOptions(analyze=True)`` also executes the plan so every
-        step carries observed cardinalities.  For the formula-level
-        narrative of *how the estimate itself* was derived, see
+        ``ExplainOptions(analyze=True)`` also executes the plan against
+        the system's document (or ``document=``) so every step carries
+        observed cardinalities.  For the formula-level narrative of *how
+        the estimate itself* was derived, see
         :func:`repro.core.explain.explain`.
         """
-        from repro.core.explain import explain_plan
+        from repro.plan.cost import build_plan
 
-        return explain_plan(self, query, options=options, document=document)
+        opts = options if options is not None else ExplainOptions()
+        if opts.analyze:
+            return self.execute(
+                query,
+                options=ExecuteOptions(use_path_ids=opts.use_path_ids),
+                document=document,
+            ).plan
+        return build_plan(self, _coerce_query(query), opts.use_path_ids)
 
     def _processor_for(self, document: XmlDocument):
         """The semijoin processor serving ``document``.
@@ -789,7 +759,7 @@ class EstimationSystem:
             return StructuralJoinProcessor(document)
         processor = self._processor
         if processor is None:
-            with self._plan_lock:
+            with self._processor_lock:
                 processor = self._processor
                 if processor is None:
                     processor = StructuralJoinProcessor(document, self.labeled)

@@ -16,7 +16,7 @@ boundary and the HTTP service can map any failure to a stable
 * :class:`BuildError` (``"build"``) — streaming/sharded synopsis
   construction failures (bad source, unbalanced shards, unsupported
   build options);
-* :class:`PlanError` (``"plan"``) — cost-based planning / plan-execution
+* :class:`PlanError` (``"plan"``) — planning / plan-execution
   failures (:mod:`repro.plan`); its concrete
   :class:`ExecutionUnsupportedError` (``"execute_unsupported"``) marks
   statistics-only systems asked to ``execute()`` a query;
@@ -87,7 +87,7 @@ class BuildError(ReproError, ValueError):
 
 
 class PlanError(ReproError, ValueError):
-    """Cost-based planning or plan-execution failure (:mod:`repro.plan`)."""
+    """Planning or plan-execution failure (:mod:`repro.plan`)."""
 
     kind = "plan"
 

@@ -34,7 +34,6 @@ PREFERRED_ORDER = [
     "obs_overhead",
     "structural_join_pruning",
     "scoped_axes",
-    "planner",
     "cluster_scaling",
     "cluster_delta",
     "traffic_capacity",

@@ -211,9 +211,9 @@ class SynopsisKernel:
     def tag_total(self, tag: str) -> float:
         """Total frequency of ``tag`` across its pids, cached per tag.
 
-        The planner's cost model prices unpruned candidate lists with
-        this (one float per tag instead of re-summing the frequency
-        array per plan).
+        The plan cost model prices unpruned candidate lists with this
+        (one float per tag instead of re-summing the frequency array
+        per plan).
         """
         total = self._tag_totals.get(tag)
         if total is None:

@@ -1,50 +1,34 @@
-"""Cost-based structural-join planning (:mod:`repro.plan`).
+"""Structural-join plans (:mod:`repro.plan`).
 
-This package closes the loop the estimator exists for: it turns kernel
-selectivity estimates into an explicit execution :class:`Plan` — an
-ordered list of semijoin steps with expected cardinalities — and runs
-that plan through :mod:`repro.queryproc` with **adaptive
-re-optimization**: every step records observed vs. predicted
-cardinality, and when the divergence exceeds a drift threshold the
-remaining steps are re-planned against the corrected sizes.
+A :class:`Plan` is the semijoin full reducer that
+:mod:`repro.queryproc` runs for a query, written out step by step in
+authored order and annotated with the cost model's expected
+cardinalities.  :meth:`EstimationSystem.explain` returns it;
+:meth:`EstimationSystem.execute` runs it and fills in the observed
+cardinalities of every step (``EXPLAIN ANALYZE``).
 
 Layout:
 
 * :mod:`repro.plan.ir` — the plan intermediate representation
-  (:class:`PlanStep`, :class:`Plan`, :class:`ExecutionResult`) and the
-  thread-safe :class:`PlannerStats` counters the service aggregates;
-* :mod:`repro.plan.cost` — the cost model: memoized sub-pattern
-  estimates, per-axis join weights, filter factors;
-* :mod:`repro.plan.planner` — :class:`CostBasedPlanner`, which
-  enumerates per-node join orders (exhaustive for small fan-out, greedy
-  beyond) and emits the plan;
-* :mod:`repro.plan.executor` — :class:`AdaptivePlanExecutor`, which
-  runs a plan and re-plans mid-flight on drift.
+  (:class:`PlanStep`, :class:`Plan`, :class:`ExecutionResult`);
+* :mod:`repro.plan.cost` — the cost model (per-plan sub-pattern
+  estimates, per-axis join weights, filter factors) and
+  :func:`build_plan`.
 
-Most callers never import this package directly:
-:meth:`EstimationSystem.execute` and :meth:`EstimationSystem.explain`
-are the front doors.
+Plans keep the authored edge order: with path-id pruning the join
+inputs are already near-final, and estimate-ordered execution saved at
+most 0.2% of join work on the paper's workloads (docs/PLANNER.md).
 """
 
-from repro.plan.cost import AXIS_WEIGHTS, CostModel
-from repro.plan.executor import AdaptivePlanExecutor
-from repro.plan.ir import (
-    PLAN_FORMAT_VERSION,
-    ExecutionResult,
-    Plan,
-    PlannerStats,
-    PlanStep,
-)
-from repro.plan.planner import CostBasedPlanner
+from repro.plan.cost import AXIS_WEIGHTS, PatternCost, build_plan
+from repro.plan.ir import PLAN_FORMAT_VERSION, ExecutionResult, Plan, PlanStep
 
 __all__ = [
     "AXIS_WEIGHTS",
-    "AdaptivePlanExecutor",
-    "CostBasedPlanner",
-    "CostModel",
     "ExecutionResult",
     "PLAN_FORMAT_VERSION",
+    "PatternCost",
     "Plan",
     "PlanStep",
-    "PlannerStats",
+    "build_plan",
 ]

@@ -1,6 +1,6 @@
-"""The planner's cost model: estimates in, step costs out.
+"""The cost model: estimates in, an annotated plan out.
 
-Every quantity the planner needs reduces to selectivity estimates of
+Every quantity a plan step carries reduces to selectivity estimates of
 *sub-patterns* of the query:
 
 * the **initial size** of a pattern node's candidate list — the path
@@ -17,20 +17,22 @@ A semijoin step sweeps both of its input lists, so its cost is
 weights reflecting the primitives' constants (descendant semijoins pay
 a binary search per element, sibling semijoins a per-parent map).
 
-Sub-pattern estimates are memoized by rendered query text in a
-:class:`CostModel` shared across queries (and service threads — a
-duplicated compute is wasted work, never a wrong answer), which is also
-what fixes the old planner's quadratic re-estimation on bushy queries:
-every distinct sub-pattern is estimated exactly once per synopsis.
+Sub-pattern estimates read through :meth:`EstimationSystem.estimate`,
+and so through the system's semantic result cache, which is the only
+memo that outlives a request.  A :class:`PatternCost` lives for one
+plan; its own dict only dedupes the sub-patterns that plan repeats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
+from repro.plan.ir import Plan, PlanStep
+from repro.queryproc.processor import PHASE_ROOT, PHASE_UP, semijoin_program
 from repro.xpath.ast import Edge, Query, QueryAxis, QueryNode
 
-__all__ = ["AXIS_WEIGHTS", "CostModel", "PatternCost", "step_cost"]
+__all__ = ["AXIS_WEIGHTS", "PatternCost", "build_plan", "step_cost"]
 
 #: Relative per-item sweep cost of the semijoin primitives by axis.
 #: CHILD is the O(n + m) hash sweep baseline; DESCENDANT pays a binary
@@ -52,103 +54,126 @@ def step_cost(axis: QueryAxis, filtered_size: float, partner_size: float) -> flo
     return AXIS_WEIGHTS.get(axis, DEFAULT_AXIS_WEIGHT) * (filtered_size + partner_size)
 
 
-class CostModel:
-    """Memoized sub-pattern estimates over one estimation system.
+def build_plan(system, query: Query, use_path_ids: bool = True) -> Plan:
+    """The semijoin program for ``query``, every step priced.
 
-    The memo is keyed by rendered sub-query text, so repeated
-    sub-patterns — across edges of one query, across queries, across
-    replans — cost one estimate total.  ``None`` entries record
-    sub-patterns the estimator cannot handle (e.g. more than one order
-    axis after slicing); the planner treats those as neutral.
+    Steps follow :func:`~repro.queryproc.processor.semijoin_program`:
+    the authored order the executor runs.
+    """
+    pattern = PatternCost(system, query, use_path_ids)
+    steps = []
+    for phase, node, position in semijoin_program(query):
+        if phase == PHASE_ROOT:
+            est_in = pattern.partner(node)
+            steps.append(
+                PlanStep(
+                    index=len(steps),
+                    phase=phase,
+                    axis="root",
+                    node_id=node.node_id,
+                    node_tag=node.tag,
+                    est_in=est_in,
+                    est_out=min(est_in, 1.0),
+                    est_partner=1.0,
+                    est_cost=est_in,
+                )
+            )
+            continue
+        edge = node.edges[position]
+        if phase == PHASE_UP:
+            filtered, partner = node, edge.node
+            initial = pattern.initial(node)
+            est_in = initial * pattern.factor(node, range(position))
+            est_out = initial * pattern.factor(node, range(position + 1))
+            est_partner = pattern.partner(edge.node)
+        else:
+            filtered, partner = edge.node, node
+            est_in = pattern.partner(edge.node)
+            est_out = pattern.final(edge.node)
+            est_partner = pattern.final(node)
+        steps.append(
+            PlanStep(
+                index=len(steps),
+                phase=phase,
+                axis=edge.axis.value,
+                node_id=filtered.node_id,
+                node_tag=filtered.tag,
+                partner_id=partner.node_id,
+                partner_tag=partner.tag,
+                est_in=est_in,
+                est_out=est_out,
+                est_partner=est_partner,
+                est_cost=step_cost(edge.axis, est_in, est_partner),
+            )
+        )
+    return Plan(
+        query_text=query.to_string(),
+        steps=steps,
+        est_cost=sum(step.est_cost for step in steps),
+        est_cardinality=pattern.final(query.target),
+        use_path_ids=use_path_ids,
+    )
+
+
+class PatternCost:
+    """Cost-model quantities for one query pattern and one plan.
+
+    Holds the one path join the initial sizes come from and the per-plan
+    memos of sub-pattern estimates, factors and tag statistics; nothing
+    here outlives the plan it prices.
     """
 
-    def __init__(self, system) -> None:
+    def __init__(self, system, query: Query, use_path_ids: bool = True):
         self.system = system
+        self.query = query
+        self._join = None
+        if use_path_ids:
+            try:
+                self._join = system.join(query)
+            except ReproError:
+                self._join = None  # fall back to tag totals
         self._estimates: Dict[str, Optional[float]] = {}
         self._tag_totals: Dict[str, float] = {}
         self._freq_maps: Dict[str, Dict[int, float]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    # -- caching -------------------------------------------------------
-
-    def cache_info(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._estimates),
-        }
-
-    def clear(self) -> None:
-        """Drop all memoized estimates (synopsis replaced or mutated)."""
-        self._estimates.clear()
-        self._tag_totals.clear()
-        self._freq_maps.clear()
+        self._factors: Dict[Tuple[int, Tuple[int, ...]], float] = {}
+        self._finals: Dict[int, float] = {}
 
     # -- primitive quantities ------------------------------------------
 
     def subpattern_estimate(self, subquery: Query) -> Optional[float]:
-        """Estimated target cardinality of ``subquery`` (memoized)."""
+        """Estimated target cardinality of ``subquery``, or ``None`` for a
+        slice the estimator rejects (priced as neutral)."""
         key = subquery.to_string()
         if key in self._estimates:
-            self.hits += 1
             return self._estimates[key]
-        self.misses += 1
         try:
             value: Optional[float] = float(self.system.estimate(subquery))
-        except Exception:
-            value = None  # unestimable slice: neutral for planning
+        except ReproError:
+            value = None
         self._estimates[key] = value
         return value
 
     def tag_total(self, tag: str) -> float:
-        """Total frequency of ``tag`` in the synopsis (memoized)."""
+        """Total frequency of ``tag`` in the synopsis."""
         cached = self._tag_totals.get(tag)
         if cached is None:
-            kernel = self.system.kernel() if self.system.kernel_active() else None
-            if kernel is not None:
-                cached = kernel.tag_total(tag)
+            system = self.system
+            if system.kernel_active():
+                cached = system.kernel().tag_total(tag)
             else:
                 cached = float(
-                    sum(f for _, f in self.system.path_provider.frequency_pairs(tag))
+                    sum(f for _, f in system.path_provider.frequency_pairs(tag))
                 )
             self._tag_totals[tag] = cached
         return cached
 
     def frequency_map(self, tag: str) -> Dict[int, float]:
-        """Raw per-pid frequencies of ``tag`` (memoized)."""
+        """Raw per-pid frequencies of ``tag``."""
         cached = self._freq_maps.get(tag)
         if cached is None:
             cached = dict(self.system.path_provider.frequency_map(tag))
             self._freq_maps[tag] = cached
         return cached
-
-    # -- per-query view ------------------------------------------------
-
-    def prepare(self, query: Query, use_path_ids: bool = True) -> "PatternCost":
-        return PatternCost(self, query, use_path_ids)
-
-
-class PatternCost:
-    """Cost-model quantities for one query pattern.
-
-    Holds the one path join the initial sizes come from and the per-node
-    factor memos; the underlying sub-pattern estimates live in the
-    shared :class:`CostModel`.
-    """
-
-    def __init__(self, model: CostModel, query: Query, use_path_ids: bool):
-        self.model = model
-        self.query = query
-        self.use_path_ids = use_path_ids
-        self._join = None
-        if use_path_ids:
-            try:
-                self._join = model.system.join(query)
-            except Exception:
-                self._join = None  # fall back to tag totals
-        self._factors: Dict[Tuple[int, Tuple[int, ...]], float] = {}
-        self._finals: Dict[int, float] = {}
 
     # -- sizes ---------------------------------------------------------
 
@@ -160,11 +185,11 @@ class PatternCost:
         statistics.  Without pruning, the tag's total frequency.
         """
         if self._join is not None:
-            freqs = self.model.frequency_map(node.tag)
+            freqs = self.frequency_map(node.tag)
             return float(
                 sum(freqs.get(pid, 0.0) for pid in self._join.pids(node))
             )
-        return self.model.tag_total(node.tag)
+        return self.tag_total(node.tag)
 
     def factor(self, node: QueryNode, positions: Sequence[int]) -> float:
         """Fraction of ``node``'s list surviving the branch subset.
@@ -189,22 +214,14 @@ class PatternCost:
         if not key[1]:
             value = 1.0
         else:
-            base = self.model.subpattern_estimate(self._subquery(node, ()))
-            kept = self.model.subpattern_estimate(self._subquery(node, key[1]))
+            base = self.subpattern_estimate(self._subquery(node, ()))
+            kept = self.subpattern_estimate(self._subquery(node, key[1]))
             if base is None or kept is None or base <= 0.0:
                 value = 1.0
             else:
                 value = min(1.0, kept / base)
         self._factors[key] = value
         return value
-
-    def marginal(self, node: QueryNode, applied: Sequence[int], position: int) -> float:
-        """Incremental filter factor of one more branch after ``applied``."""
-        before = self.factor(node, applied)
-        after = self.factor(node, tuple(applied) + (position,))
-        if before <= 0.0:
-            return 1.0
-        return min(1.0, after / before)
 
     def reduced(self, node: QueryNode) -> float:
         """Expected size of ``node``'s list once its subtree reduced it."""
@@ -226,7 +243,7 @@ class PatternCost:
         """Expected size of ``node``'s list in the fully reduced pattern."""
         cached = self._finals.get(node.node_id)
         if cached is None:
-            estimate = self.model.subpattern_estimate(self._retarget(node))
+            estimate = self.subpattern_estimate(self._retarget(node))
             cached = self.reduced(node) if estimate is None else estimate
             self._finals[node.node_id] = cached
         return cached
@@ -251,7 +268,7 @@ class PatternCost:
                 for position in positions:
                     edge = node.edges[position]
                     copy.edges.append(
-                        Edge(edge.axis, copy_subtree(edge.node), edge.is_predicate)
+                        Edge(edge.axis, _copy_subtree(edge.node), edge.is_predicate)
                     )
             return copy
 
@@ -274,9 +291,9 @@ class PatternCost:
         return Query(root, query.root_axis, target=clones[node.node_id])
 
 
-def copy_subtree(node: QueryNode) -> QueryNode:
+def _copy_subtree(node: QueryNode) -> QueryNode:
     """Deep copy of a pattern subtree (ids re-assigned on finalize)."""
     copy = QueryNode(node.tag)
     for edge in node.edges:
-        copy.edges.append(Edge(edge.axis, copy_subtree(edge.node), edge.is_predicate))
+        copy.edges.append(Edge(edge.axis, _copy_subtree(edge.node), edge.is_predicate))
     return copy

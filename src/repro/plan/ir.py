@@ -1,11 +1,11 @@
 """The plan intermediate representation.
 
-A :class:`Plan` is an ordered list of :class:`PlanStep`\\ s — one per
-semijoin the executor will run — annotated with the cost model's
-expected cardinalities.  After execution each step additionally carries
-the *observed* cardinalities, so a plan doubles as its own execution
-report (``EXPLAIN`` and ``EXPLAIN ANALYZE`` are the same object before
-and after running).
+A :class:`Plan` is the list of :class:`PlanStep`\\ s — one per semijoin
+of the full reducer, in the authored order the executor runs them —
+annotated with the cost model's expected cardinalities.  After execution
+each step additionally carries the *observed* cardinalities, so a plan
+doubles as its own execution report (``EXPLAIN`` and ``EXPLAIN
+ANALYZE`` are the same object before and after running).
 
 The wire shape (``Plan.as_dict``) is versioned independently of the
 estimate-result format: consumers check ``plan["version"]``.
@@ -13,7 +13,6 @@ estimate-result format: consumers check ``plan["version"]``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -24,16 +23,11 @@ __all__ = [
     "PlanStep",
     "Plan",
     "ExecutionResult",
-    "PlannerStats",
 ]
 
-#: Version of the ``plan`` wire object.
-PLAN_FORMAT_VERSION = 1
-
-#: Phases a step can belong to, in execution order.
-PHASE_UP = "up"
-PHASE_ROOT = "root"
-PHASE_DOWN = "down"
+#: Version of the ``plan`` wire object.  2 dropped the ordering, drift
+#: and replan fields along with the cost-based search.
+PLAN_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -47,11 +41,8 @@ class PlanStep:
     The ``root`` step is the absolute-query constraint (filtered list
     pinned to the document root) and has no partner node.
 
-    ``est_*`` fields come from the cost model at planning time;
-    ``observed_*``/``predicted_out`` are filled in by the executor.
-    ``predicted_out`` is the *calibrated* runtime prediction
-    (``observed_in`` × the estimated marginal filter factor) — drift is
-    judged against it, not against the uncalibrated ``est_out``.
+    ``est_*`` fields come from the cost model when the plan is built;
+    ``observed_*`` are filled in by the executor.
     """
 
     index: int
@@ -68,16 +59,7 @@ class PlanStep:
     observed_in: Optional[int] = None
     observed_out: Optional[int] = None
     observed_partner: Optional[int] = None
-    predicted_out: Optional[float] = None
-    replanned: bool = False
     skipped: bool = False
-
-    def drift(self) -> Optional[float]:
-        """Observed/predicted divergence factor (``>= 1``), if executed."""
-        if self.observed_out is None or self.predicted_out is None:
-            return None
-        ratio = (self.observed_out + 1.0) / (self.predicted_out + 1.0)
-        return max(ratio, 1.0 / ratio)
 
     def as_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -92,74 +74,45 @@ class PlanStep:
         }
         if self.partner_id is not None:
             payload["partner"] = {"id": self.partner_id, "tag": self.partner_tag}
-        if self.replanned:
-            payload["replanned"] = True
         if self.skipped:
             payload["skipped"] = True
         if self.observed_in is not None:
             payload["observed_in"] = self.observed_in
             payload["observed_out"] = self.observed_out
             payload["observed_partner"] = self.observed_partner
-            payload["predicted_out"] = self.predicted_out
-            drift = self.drift()
-            if drift is not None:
-                payload["drift"] = drift
         return payload
 
 
 @dataclass
 class Plan:
-    """An ordered semijoin program for one query.
+    """The semijoin program for one query.
 
-    ``est_cost`` is the cost model's total for the chosen order;
-    ``naive_cost`` the same total for the authored (unplanned) order, so
-    ``naive_cost / est_cost`` is the predicted plan-quality win.  The
-    execution fields (``replans``, ``replanned_at``, ``max_drift``,
-    ``early_exit``, ``observed_work``) stay at their defaults until an
-    executor runs the plan.
+    ``est_cost`` is the cost model's total over the steps.  The
+    execution fields (``early_exit``, ``observed_work``) stay at their
+    defaults until an executor runs the plan.
     """
 
     query_text: str
-    ordering: str  # "enumerated" | "greedy" | "naive"
     steps: List[PlanStep] = field(default_factory=list)
     est_cost: float = 0.0
-    naive_cost: float = 0.0
     est_cardinality: float = 0.0
-    drift_threshold: float = 0.0
     use_path_ids: bool = True
     executed: bool = False
-    replans: int = 0
-    replanned_at: List[int] = field(default_factory=list)
-    max_drift: float = 0.0
     early_exit: Optional[int] = None
     observed_work: int = 0
-
-    @property
-    def reordered(self) -> bool:
-        """Did cost-based ordering change anything vs. the authored order?"""
-        return self.ordering != "naive" and self.est_cost < self.naive_cost
-
-    def up_steps(self) -> List[PlanStep]:
-        return [step for step in self.steps if step.phase == PHASE_UP]
 
     def as_dict(self) -> Dict[str, Any]:
         """The versioned wire object (the service's ``plan`` field)."""
         payload: Dict[str, Any] = {
             "version": PLAN_FORMAT_VERSION,
             "query": self.query_text,
-            "ordering": self.ordering,
             "est_cost": self.est_cost,
-            "naive_cost": self.naive_cost,
             "est_cardinality": self.est_cardinality,
-            "drift_threshold": self.drift_threshold,
             "use_path_ids": self.use_path_ids,
             "executed": self.executed,
             "steps": [step.as_dict() for step in self.steps],
         }
         if self.executed:
-            payload["replans"] = self.replans
-            payload["replanned_at"] = list(self.replanned_at)
-            payload["max_drift"] = self.max_drift
             payload["observed_work"] = self.observed_work
             if self.early_exit is not None:
                 payload["early_exit"] = self.early_exit
@@ -167,17 +120,13 @@ class Plan:
 
     def render(self) -> str:
         """Human-readable plan listing (docs examples, CLI debugging)."""
-        lines = [
-            "plan %s  ordering=%s  est_cost=%.1f  naive_cost=%.1f"
-            % (self.query_text, self.ordering, self.est_cost, self.naive_cost)
-        ]
+        lines = ["plan %s  est_cost=%.1f" % (self.query_text, self.est_cost)]
         for step in self.steps:
-            mark = "*" if step.replanned else " "
             partner = (
                 "" if step.partner_tag is None else " ~ %s#%d" % (step.partner_tag, step.partner_id)
             )
-            line = "%s %2d %-4s %-7s %s#%d%s  est %.1f -> %.1f" % (
-                mark, step.index, step.phase, step.axis,
+            line = "  %2d %-4s %-7s %s#%d%s  est %.1f -> %.1f" % (
+                step.index, step.phase, step.axis,
                 step.node_tag, step.node_id, partner, step.est_in, step.est_out,
             )
             if step.observed_in is not None:
@@ -186,10 +135,7 @@ class Plan:
                 line += "  (skipped)"
             lines.append(line)
         if self.executed:
-            lines.append(
-                "  replans=%d at=%r max_drift=%.2f work=%d"
-                % (self.replans, self.replanned_at, self.max_drift, self.observed_work)
-            )
+            lines.append("  work=%d" % self.observed_work)
         return "\n".join(lines)
 
 
@@ -199,12 +145,10 @@ class ExecutionResult:
 
     matches:
         Pre-order numbers of the document elements matching the query
-        target — exactly what
-        :meth:`~repro.queryproc.processor.StructuralJoinProcessor.matching_pres`
-        would return (pinned by tests).
+        target (tests pin them against :class:`~repro.xpath.Evaluator`).
     estimate:
-        The structured estimate for the same query (the planner's
-        expected target cardinality, with route and timing).
+        The structured estimate for the same query (the plan's expected
+        target cardinality, with route and timing).
     plan:
         The executed :class:`Plan`, steps annotated with observed
         cardinalities.
@@ -223,56 +167,3 @@ class ExecutionResult:
 
     def __len__(self) -> int:
         return len(self.matches)
-
-
-class PlannerStats:
-    """Thread-safe planner/executor counters for one system.
-
-    The service aggregates these into the ``planner`` block of
-    ``/metrics``; they answer "is adaptivity earning its keep" in
-    production: how often plans deviate from the authored order, how
-    often drift forces a replan, and the worst drift seen.
-    """
-
-    __slots__ = ("_lock", "plans", "executions", "naive_plans",
-                 "reordered_plans", "replans", "replanned_executions",
-                 "max_drift")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.plans = 0
-        self.executions = 0
-        self.naive_plans = 0
-        self.reordered_plans = 0
-        self.replans = 0
-        self.replanned_executions = 0
-        self.max_drift = 0.0
-
-    def record_plan(self, plan: Plan) -> None:
-        with self._lock:
-            self.plans += 1
-            if plan.ordering == "naive":
-                self.naive_plans += 1
-            elif plan.reordered:
-                self.reordered_plans += 1
-
-    def record_execution(self, plan: Plan) -> None:
-        with self._lock:
-            self.executions += 1
-            self.replans += plan.replans
-            if plan.replans:
-                self.replanned_executions += 1
-            if plan.max_drift > self.max_drift:
-                self.max_drift = plan.max_drift
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "plans": self.plans,
-                "executions": self.executions,
-                "naive_plans": self.naive_plans,
-                "reordered_plans": self.reordered_plans,
-                "replans": self.replans,
-                "replanned_executions": self.replanned_executions,
-                "max_drift": self.max_drift,
-            }

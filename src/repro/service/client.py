@@ -314,8 +314,8 @@ class EndpointClient:
         return EstimateResult.from_dict(reply["result"])
 
     def explain(self, synopsis: str, query: str) -> Dict[str, Any]:
-        """The server-side cost-based plan for ``query`` (the plan IR as
-        a dict: ordered semijoin steps with expected cardinalities).  No
+        """The server-side plan for ``query`` (the plan IR as a dict:
+        the semijoin steps with expected cardinalities).  No
         execution happens; works against statistics-only synopses."""
         payload = {"synopsis": synopsis, "query": query, "explain": True}
         return self._request("POST", "/estimate", payload)["plan"]
@@ -326,8 +326,8 @@ class EndpointClient:
         """Plan and run ``query`` on the server.
 
         Returns the full reply: ``matches`` (pre-orders, capped),
-        ``match_count``, the executed ``plan`` (observed cardinalities,
-        replans) and the structured ``result``.  Raises
+        ``match_count``, the executed ``plan`` (observed cardinalities)
+        and the structured ``result``.  Raises
         :class:`ServiceError` kind ``execute_unsupported`` (409) when the
         synopsis is statistics-only.
         """

@@ -12,12 +12,12 @@ Endpoints
     route, timing and cache attribution.  A batch replies with
     ``"results": [{"result": ...}, ...]`` and ``"count"`` in place of
     ``result``.  A single-query body may instead set
-    ``"explain": true`` — returns the cost-based plan IR (ordered
-    semijoin steps with expected cardinalities) without executing — or
-    ``"execute": true`` — runs the plan against the synopsis's source
-    document and returns ``matches``/``match_count`` plus the executed
-    plan with observed cardinalities and any mid-plan replans (``409``
-    kind ``execute_unsupported`` for statistics-only synopses).
+    ``"explain": true`` — returns the plan IR (the semijoin steps with
+    expected cardinalities) without executing — or ``"execute": true``
+    — runs the plan against the synopsis's source document and returns
+    ``matches``/``match_count`` plus the executed plan with observed
+    cardinalities (``409`` kind ``execute_unsupported`` for
+    statistics-only synopses).
 ``POST /delta``
     Body ``{"synopsis": name, "partial": <repro.persist.partial_to_dict>}``:
     merges an uploaded delta partial into a delta-capable synopsis in
@@ -398,7 +398,7 @@ class EstimationService:
         sheds observability before estimates).
 
         ``mode`` selects the verb: ``"estimate"`` (default),
-        ``"explain"`` (return the cost-based plan, no execution) or
+        ``"explain"`` (return the plan, no execution) or
         ``"execute"`` (run the plan against the synopsis's document and
         return matches + the executed plan with observed cardinalities).
         """
@@ -505,10 +505,7 @@ class EstimationService:
         result = dataclasses.replace(
             result, tier=tier, cache={"plan": False, "result": False}
         )
-        plan = execution.plan
         self.metrics.incr("executions_total")
-        if plan.replans:
-            self.metrics.incr("plan_replans_total", plan.replans)
         if slowlog:
             self.slow_log.observe(
                 query=text,
@@ -524,7 +521,7 @@ class EstimationService:
         truncated = len(matches) > MAX_WIRE_MATCHES
         return {
             "result": result.as_dict(),
-            "plan": plan.as_dict(),
+            "plan": execution.plan.as_dict(),
             "match_count": len(matches),
             "matches": matches[:MAX_WIRE_MATCHES],
             "matches_truncated": truncated,
@@ -859,7 +856,10 @@ class EstimationService:
             reliability["brownout"] = self.brownout.snapshot()
         document["reliability"] = reliability
         document["kernel"] = self.kernel_document()
-        document["planner"] = self.planner_document()
+        document["planner"] = {
+            "explains": self.metrics.counter("explains_total"),
+            "served_executions": self.metrics.counter("executions_total"),
+        }
         document["semcache"] = self.semcache_document()
         document["process"] = {"gc": gc_document()}
         if self.workers_view is not None:
@@ -872,9 +872,10 @@ class EstimationService:
     def kernel_document(self) -> Dict[str, Any]:
         """Aggregate compiled-kernel counters across the registry.
 
-        Defensive by design: a synopsis that fails to load (or a system
-        without a kernel) contributes nothing rather than failing the
-        whole ``/metrics`` response.
+        Reads only kernels already attached (``kernel_peek``): a scrape
+        never compiles one.  Defensive by design: a synopsis that fails
+        to load (or a system without a kernel) contributes nothing
+        rather than failing the whole ``/metrics`` response.
         """
         totals: Dict[str, Any] = {
             "synopses": 0,
@@ -896,15 +897,15 @@ class EstimationService:
         for name in names:
             try:
                 system = self.registry.get(name).system
-                kernel_of = getattr(system, "kernel", None)
-                if kernel_of is None:
+                peek = getattr(system, "kernel_peek", None)
+                if peek is None:
                     continue
                 totals["synopses"] += 1
-                kernel = kernel_of()
+                kernel = peek()
                 if kernel is None:
                     continue
                 stats = kernel.stats()
-                if system.kernel_active():
+                if system.kernel_state() == "ready":
                     totals["active"] += 1
                 for key in (
                     "joins", "fallbacks", "tag_tables", "pairs",
@@ -967,52 +968,12 @@ class EstimationService:
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
         return totals
 
-    def planner_document(self) -> Dict[str, Any]:
-        """Aggregate cost-based planner counters across the registry.
-
-        Sums each system's :class:`~repro.plan.ir.PlannerStats` snapshot
-        (``max_drift`` takes the maximum); same defensive posture as
-        :meth:`kernel_document` — a synopsis that fails to load
-        contributes nothing.
-        """
-        totals: Dict[str, Any] = {
-            "plans": 0,
-            "executions": 0,
-            "naive_plans": 0,
-            "reordered_plans": 0,
-            "replans": 0,
-            "replanned_executions": 0,
-            "max_drift": 0.0,
-            "explains": self.metrics.counter("explains_total"),
-            "served_executions": self.metrics.counter("executions_total"),
-        }
-        names = getattr(self.registry, "names", lambda: [])()
-        for name in names:
-            try:
-                stats = getattr(
-                    self.registry.get(name).system, "planner_stats", None
-                )
-                if stats is None:
-                    continue
-                snap = stats.snapshot()
-                for key in (
-                    "plans", "executions", "naive_plans", "reordered_plans",
-                    "replans", "replanned_executions",
-                ):
-                    totals[key] += snap[key]
-                if snap["max_drift"] > totals["max_drift"]:
-                    totals["max_drift"] = snap["max_drift"]
-            except Exception:  # pragma: no cover - defensive
-                continue
-        return totals
-
     def metrics_prom(self) -> str:
         """Prometheus text exposition of the same registry, enriched with
         point-in-time gauges (plan cache, admission gate, registry)."""
         cache = self.plan_cache.stats()
         gate = self.gate.stats()
         kernel = self.kernel_document()
-        planner = self.planner_document()
         semcache = self.semcache_document()
         extra = {
             "semcache_hits": semcache["hits"],
@@ -1021,11 +982,6 @@ class EstimationService:
             "semcache_evictions": semcache["evictions"],
             "semcache_size": semcache["size"],
             "semcache_generation": semcache["generation"],
-            "planner_plans_total": planner["plans"],
-            "planner_executions_total": planner["executions"],
-            "planner_replans_total": planner["replans"],
-            "planner_reordered_plans_total": planner["reordered_plans"],
-            "planner_max_drift": planner["max_drift"],
             "plan_cache_hits": cache.hits,
             "plan_cache_misses": cache.misses,
             "plan_cache_size": cache.size,

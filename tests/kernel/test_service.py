@@ -117,3 +117,17 @@ class TestKernelMetrics:
         assert block["synopses"] == 1
         assert block["active"] == 0
         assert block["misses"] == 1
+
+    def test_scrape_never_attaches_a_kernel(self, service):
+        svc, system = service
+        assert svc.healthz()["kernels"] == {"fig1": "pending"}
+        block = svc.metrics_document()["kernel"]
+        svc.metrics_prom()
+        assert system.kernel_peek() is None
+        assert svc.healthz()["kernels"] == {"fig1": "pending"}
+        assert block["synopses"] == 1
+        assert block["active"] == 0
+        assert block["tag_tables"] == 0
+        svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
+        assert svc.healthz()["kernels"] == {"fig1": "ready"}
+        assert svc.metrics_document()["kernel"]["active"] == 1

@@ -1,6 +1,8 @@
-"""Planned execution is exact: estimate-ordered, naive-ordered and the
-reference processor all return identical match sets on every dataset's
-workload, pruned or not — join order changes cost only, never results.
+"""Execution is exact: ``execute()`` returns the tree-walking
+:class:`~repro.xpath.Evaluator`'s match set and the workload item's
+``actual`` count on every dataset's simple, branch and order queries,
+with and without path-id pruning.  The evaluator shares no code with the
+semijoin loop, so it is an independent reference.
 """
 
 from __future__ import annotations
@@ -12,17 +14,19 @@ from repro.core.system import EstimationSystem
 from repro.errors import ExecutionUnsupportedError
 from repro.queryproc import StructuralJoinProcessor
 from repro.workload import WorkloadGenerator
+from repro.xpath import Evaluator, parse_query
 
 DATASET_FIXTURES = ("ssplays_small", "dblp_small", "xmark_small")
 
 
-def workload_texts(document, raw: int = 30, keep: int = 10):
+def workload_items(document, raw: int = 30, keep: int = 10):
     generator = WorkloadGenerator(document, seed=17)
     items = generator.simple_queries(raw) + generator.branch_queries(raw)
-    # Prefer branchy queries: they exercise join ordering; pad with the
-    # simple ones so every dataset still contributes `keep` queries.
+    # Prefer branchy queries: they have the most semijoin steps; pad
+    # with the simple ones so every dataset contributes `keep` queries.
     items.sort(key=lambda item: item.kind != "branch")
-    return [(item.text, item.actual) for item in items[:keep]]
+    branch_order, trunk_order = generator.order_queries(raw)
+    return items[:keep] + branch_order[: keep // 2] + trunk_order[: keep // 2]
 
 
 @pytest.mark.parametrize("dataset", DATASET_FIXTURES)
@@ -36,28 +40,26 @@ class TestPlannedExecutionIsExact:
         return EstimationSystem.build(document, p_variance=0, o_variance=0)
 
     def test_matches_reference_processor(self, system, document):
-        from repro.xpath.parser import parse_query
-
-        processor = StructuralJoinProcessor(document)
-        for text, actual in workload_texts(document):
-            expected = set(processor.matching_pres(parse_query(text)))
-            planned = system.execute(text)
-            naive = system.execute(text, options=ExecuteOptions(naive_order=True))
-            unpruned = system.execute(
-                text, options=ExecuteOptions(use_path_ids=False)
-            )
-            assert set(planned.matches) == expected
-            assert set(naive.matches) == expected
-            assert set(unpruned.matches) == expected
-            assert planned.match_count == actual
-            assert planned.plan.executed
+        # The reference is the Evaluator, not StructuralJoinProcessor:
+        # execute() runs the processor's own semijoin loop.
+        evaluator = Evaluator(document)
+        for item in workload_items(document):
+            query = parse_query(item.text)
+            expected = sorted(evaluator.matching_pres(query, query.target))
+            assert len(expected) == item.actual
+            for use_path_ids in (True, False):
+                result = system.execute(
+                    item.text, options=ExecuteOptions(use_path_ids=use_path_ids)
+                )
+                assert sorted(result.matches) == expected, (item.text, use_path_ids)
+                assert result.plan.executed
 
     def test_estimate_agrees_with_plan_cardinality(self, system, document):
         # Exact statistics: the plan's expected target cardinality is the
         # system's estimate for the same query.
-        for text, _ in workload_texts(document, keep=5):
-            plan = system.explain(text)
-            assert plan.est_cardinality == pytest.approx(system.estimate(text))
+        for item in workload_items(document, keep=5):
+            plan = system.explain(item.text)
+            assert plan.est_cardinality == pytest.approx(system.estimate(item.text))
 
 
 class TestExecuteEdges:
@@ -71,19 +73,34 @@ class TestExecuteEdges:
         assert result.plan.early_exit is not None
         assert any(step.skipped for step in result.plan.steps)
 
-    def test_adaptive_off_never_replans(self, system):
+    def test_emptied_list_skips_the_rest(self, system):
+        # Unpruned, the F list is non-empty but no B has an F child: the
+        # first semijoin empties B and the reduction stops there.
         result = system.execute(
-            "//A[/B][/C]", options=ExecuteOptions(adaptive=False)
+            "//A/B/$F", options=ExecuteOptions(use_path_ids=False)
         )
-        assert result.plan.replans == 0
+        plan = result.plan
+        assert result.matches == []
+        assert plan.early_exit == 0
+        assert plan.steps[0].observed_out == 0
+        assert [step.skipped for step in plan.steps] == [False, True, True, True]
+
+    def test_steps_follow_the_processor_loop(self, system, figure1):
+        processor = StructuralJoinProcessor(figure1)
+        for text in ("//A[/B][/C]/$E", "/Root/A[/C]/$B"):
+            query = parse_query(text)
+            for use_path_ids in (True, False):
+                result = system.execute(
+                    text, options=ExecuteOptions(use_path_ids=use_path_ids)
+                )
+                assert result.matches == processor.matching_pres(query, use_path_ids)
+                assert result.plan.observed_work == processor.last_semijoin_work
 
     def test_document_override_runs_other_tree(self, system, figure1):
         result = system.execute("//A/$B", document=figure1)
-        processor = StructuralJoinProcessor(figure1)
-        from repro.xpath.parser import parse_query
-
-        assert set(result.matches) == set(
-            processor.matching_pres(parse_query("//A/$B"))
+        query = parse_query("//A/$B")
+        assert sorted(result.matches) == sorted(
+            Evaluator(figure1).matching_pres(query, query.target)
         )
 
     def test_statistics_only_system_raises(self, figure1):
@@ -110,8 +127,28 @@ class TestExecuteEdges:
             if not step.skipped
         )
 
-    def test_explain_records_planner_stats(self, figure1):
-        system = EstimationSystem.build(figure1, p_variance=0, o_variance=0)
-        before = system.planner_stats.snapshot()["plans"]
-        system.explain("//A/$B")
-        assert system.planner_stats.snapshot()["plans"] == before + 1
+    def test_stale_statistics_show_in_observed_counts(self):
+        from repro.xmltree.parser import parse_xml
+
+        def doc(d_every):
+            recs = "".join(
+                "<Rec>%s<A/><B/></Rec>" % ("<D/>" if i % d_every == 0 else "")
+                for i in range(60)
+            )
+            return parse_xml("<Root>%s</Root>" % recs)
+
+        # Statistics say every Rec has a D; the executed tree has 1 in 20.
+        optimistic = EstimationSystem.build(doc(1), p_variance=0, o_variance=0)
+        sparse = doc(20)
+        text = "/Root/Rec[D][A][B]"
+        result = optimistic.execute(
+            text, document=sparse, options=ExecuteOptions(use_path_ids=False)
+        )
+        d_step = result.plan.steps[0]
+        assert d_step.partner_tag == "D"
+        assert d_step.est_out == pytest.approx(60.0)
+        assert d_step.observed_out == 3
+        query = parse_query(text)
+        assert sorted(result.matches) == sorted(
+            Evaluator(sparse).matching_pres(query, query.target)
+        )

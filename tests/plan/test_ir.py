@@ -1,15 +1,10 @@
-"""The plan IR: step drift math, wire shape, counters."""
+"""The plan IR: step and plan wire shape."""
 
 from __future__ import annotations
 
 import json
 
-from repro.plan.ir import (
-    PLAN_FORMAT_VERSION,
-    Plan,
-    PlannerStats,
-    PlanStep,
-)
+from repro.plan.ir import PLAN_FORMAT_VERSION, Plan, PlanStep
 
 
 def step(**overrides) -> PlanStep:
@@ -23,23 +18,12 @@ def step(**overrides) -> PlanStep:
 
 
 class TestPlanStep:
-    def test_drift_is_none_before_execution(self):
-        assert step().drift() is None
-
-    def test_drift_is_symmetric_and_at_least_one(self):
-        over = step(observed_in=10, observed_out=9, predicted_out=4.0)
-        under = step(observed_in=10, observed_out=4, predicted_out=9.0)
-        assert over.drift() == under.drift()
-        assert step(observed_in=5, observed_out=5, predicted_out=5.0).drift() == 1.0
-
     def test_as_dict_adds_observed_fields_after_execution(self):
         planned = step().as_dict()
-        assert "observed_in" not in planned and "drift" not in planned
-        executed = step(
-            observed_in=10, observed_out=5, observed_partner=5, predicted_out=5.0
-        ).as_dict()
+        assert "observed_in" not in planned
+        executed = step(observed_in=10, observed_out=5, observed_partner=5).as_dict()
         assert executed["observed_out"] == 5
-        assert executed["drift"] == 1.0
+        assert executed["observed_partner"] == 5
 
     def test_root_step_has_no_partner(self):
         payload = step(phase="root", axis="root", partner_id=None, partner_tag=None).as_dict()
@@ -50,53 +34,35 @@ class TestPlanWire:
     def plan(self, **overrides) -> Plan:
         base = dict(
             query_text="//A/$B",
-            ordering="enumerated",
             steps=[step()],
             est_cost=15.0,
-            naive_cost=20.0,
             est_cardinality=5.0,
-            drift_threshold=3.0,
         )
         base.update(overrides)
         return Plan(**base)
 
     def test_versioned_and_json_serializable(self):
         payload = self.plan().as_dict()
-        assert payload["version"] == PLAN_FORMAT_VERSION
-        assert payload["ordering"] == "enumerated"
+        assert payload["version"] == PLAN_FORMAT_VERSION == 2
+        assert set(payload) == {
+            "version", "query", "est_cost", "est_cardinality",
+            "use_path_ids", "executed", "steps",
+        }
         json.dumps(payload)  # wire-safe
 
     def test_execution_fields_only_when_executed(self):
-        assert "replans" not in self.plan().as_dict()
-        ran = self.plan(executed=True, replans=1, replanned_at=[0], max_drift=4.0)
+        assert "observed_work" not in self.plan().as_dict()
+        ran = self.plan(executed=True, observed_work=7, early_exit=0)
         payload = ran.as_dict()
-        assert payload["replans"] == 1
-        assert payload["replanned_at"] == [0]
+        assert payload["observed_work"] == 7
+        assert payload["early_exit"] == 0
 
-    def test_reordered_means_cheaper_than_naive(self):
-        assert self.plan().reordered  # 15 < 20
-        assert not self.plan(est_cost=20.0).reordered
-        assert not self.plan(ordering="naive").reordered
-
-    def test_render_marks_replanned_steps(self):
-        ran = self.plan(steps=[step(replanned=True)], executed=True)
-        assert ran.render().splitlines()[1].startswith("*")
-
-
-class TestPlannerStats:
-    def test_record_and_snapshot(self):
-        stats = PlannerStats()
-        reordered = Plan("q", "enumerated", est_cost=1.0, naive_cost=2.0)
-        naive = Plan("q", "naive")
-        stats.record_plan(reordered)
-        stats.record_plan(naive)
-        ran = Plan("q", "enumerated", replans=2, max_drift=5.0)
-        stats.record_execution(ran)
-        snap = stats.snapshot()
-        assert snap["plans"] == 2
-        assert snap["naive_plans"] == 1
-        assert snap["reordered_plans"] == 1
-        assert snap["executions"] == 1
-        assert snap["replans"] == 2
-        assert snap["replanned_executions"] == 1
-        assert snap["max_drift"] == 5.0
+    def test_render_lists_every_step(self):
+        ran = self.plan(
+            steps=[step(observed_in=10, observed_out=5), step(index=1, skipped=True)],
+            executed=True,
+        )
+        lines = ran.render().splitlines()
+        assert len(lines) == 4
+        assert "obs 10 -> 5" in lines[1]
+        assert lines[2].endswith("(skipped)")

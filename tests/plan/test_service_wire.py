@@ -1,5 +1,6 @@
 """The explain/execute verbs over the service wire: plan payload shape,
-match counts vs direct execution, error mapping, and planner metrics.
+match counts vs the reference evaluator, error mapping, and the
+``planner`` block of ``/metrics``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import pytest
 from repro.core.system import EstimationSystem
 from repro.persist import system_from_dict, system_to_dict
 from repro.plan.ir import PLAN_FORMAT_VERSION
-from repro.queryproc import StructuralJoinProcessor
 from repro.service import EstimationService, SynopsisRegistry
 from repro.service.server import MAX_WIRE_MATCHES, RequestError
-from repro.xpath.parser import parse_query
+from repro.xpath import Evaluator, parse_query
 
 QUERY = "//A[/B]/$C"
 
@@ -44,9 +44,8 @@ class TestExplainWire:
     def test_explain_counts_in_planner_metrics(self, service):
         svc, _, _ = service
         svc.handle_estimate({"synopsis": "fig1", "query": QUERY, "explain": True})
-        planner = svc.planner_document()
-        assert planner["explains"] == 1
-        assert planner["plans"] >= 1
+        planner = svc.metrics_document()["planner"]
+        assert planner == {"explains": 1, "served_executions": 0}
 
 
 class TestExecuteWire:
@@ -55,9 +54,8 @@ class TestExecuteWire:
         body = svc.handle_estimate(
             {"synopsis": "fig1", "query": QUERY, "execute": True}
         )
-        expected = set(
-            StructuralJoinProcessor(figure1).matching_pres(parse_query(QUERY))
-        )
+        query = parse_query(QUERY)
+        expected = set(Evaluator(figure1).matching_pres(query, query.target))
         assert set(body["matches"]) == expected
         assert body["match_count"] == len(expected)
         assert body["matches_truncated"] is False
@@ -78,9 +76,8 @@ class TestExecuteWire:
     def test_execute_counts_in_planner_metrics(self, service):
         svc, _, _ = service
         svc.handle_estimate({"synopsis": "fig1", "query": QUERY, "execute": True})
-        planner = svc.planner_document()
-        assert planner["served_executions"] == 1
-        assert planner["executions"] >= 1
+        planner = svc.metrics_document()["planner"]
+        assert planner == {"explains": 0, "served_executions": 1}
 
 
 class TestWireErrors:

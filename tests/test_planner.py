@@ -1,10 +1,14 @@
-"""Tests for the selectivity-driven query planner."""
+"""Plans keep the authored edge order and preserve query semantics.
+
+``explain()`` lists the semijoin steps in the order the query was
+written; ``execute()`` runs exactly those steps and returns the
+reference evaluator's matches, including on order queries.
+"""
 
 import pytest
 
+from repro.core.options import ExecuteOptions
 from repro.core.system import EstimationSystem
-from repro.planner import QueryPlanner
-from repro.queryproc import StructuralJoinProcessor
 from repro.workload import WorkloadGenerator
 from repro.xmltree.builder import el
 from repro.xmltree.document import XmlDocument
@@ -24,64 +28,57 @@ def skewed_doc():
 
 
 @pytest.fixture(scope="module")
-def planner(skewed_doc):
-    return QueryPlanner(EstimationSystem.build(skewed_doc, p_variance=0))
+def system(skewed_doc):
+    return EstimationSystem.build(skewed_doc, p_variance=0)
+
+
+def up_partners(plan):
+    return [step.partner_tag for step in plan.steps if step.phase == "up"]
 
 
 class TestSemanticsPreserved:
-    def test_same_matches_on_crafted_doc(self, skewed_doc, planner):
+    def test_same_matches_on_crafted_doc(self, skewed_doc, system):
         query = parse_query("//rec[/common][/rare]")
-        planned = planner.plan(query)
-        evaluator = Evaluator(skewed_doc)
-        assert evaluator.matching_pres(planned, planned.target) == \
-            evaluator.matching_pres(query, query.target)
+        expected = Evaluator(skewed_doc).matching_pres(query, query.target)
+        for use_path_ids in (True, False):
+            result = system.execute(
+                query, options=ExecuteOptions(use_path_ids=use_path_ids)
+            )
+            assert set(result.matches) == expected
 
     def test_same_matches_on_workload(self, ssplays_small):
-        planner = QueryPlanner(EstimationSystem.build(ssplays_small, p_variance=0))
-        evaluator = Evaluator(ssplays_small)
+        system = EstimationSystem.build(ssplays_small, p_variance=0)
         items = WorkloadGenerator(ssplays_small, seed=37).branch_queries(60)
         for item in items[:30]:
-            planned = planner.plan(item.query)
-            assert evaluator.selectivity(planned) == item.actual
+            assert system.execute(item.query).match_count == item.actual
 
-    def test_target_preserved(self, planner):
+    def test_target_preserved(self, skewed_doc, system):
         query = parse_query("//rec[/$common][/rare]")
-        assert planner.plan(query).target.tag == "common"
+        result = system.execute(query)
+        assert result.matches
+        assert all(
+            skewed_doc.node_at(pre).tag == "common" for pre in result.matches
+        )
 
     def test_order_queries_plannable(self, ssplays_small):
-        planner = QueryPlanner(EstimationSystem.build(ssplays_small, p_variance=0))
-        evaluator = Evaluator(ssplays_small)
+        system = EstimationSystem.build(ssplays_small, p_variance=0)
         branch_items, _ = WorkloadGenerator(ssplays_small, seed=37).order_queries(40)
         for item in branch_items[:10]:
-            planned = planner.plan(item.query)
-            assert evaluator.selectivity(planned) == item.actual
+            assert system.explain(item.query).steps
+            assert system.execute(item.query).match_count == item.actual
 
 
 class TestOrdering:
-    def test_selective_branch_first(self, planner):
-        query = parse_query("//rec[/common][/rare]")
-        planned = planner.plan(query)
-        tags = [edge.node.tag for edge in planned.root.edges]
-        assert tags == ["rare", "common"]
+    def test_already_ordered_untouched(self, system):
+        plan = system.explain("//rec[/rare][/common]")
+        assert up_partners(plan) == ["rare", "common"]
 
-    def test_already_ordered_untouched(self, planner):
-        query = parse_query("//rec[/rare][/common]")
-        planned = planner.plan(query)
-        tags = [edge.node.tag for edge in planned.root.edges]
-        assert tags == ["rare", "common"]
+    def test_unselective_branch_stays_first(self, system):
+        plan = system.explain("//rec[/common][/rare]")
+        assert up_partners(plan) == ["common", "rare"]
 
-    def test_single_edge_nodes_stable(self, planner):
-        query = parse_query("//rec/common")
-        assert planner.plan(query).to_string() == query.to_string()
-
-
-class TestWorkReduction:
-    def test_planned_order_does_less_semijoin_work(self, skewed_doc, planner):
-        processor = StructuralJoinProcessor(skewed_doc)
-        bad = parse_query("//rec[/common][/rare]")   # unselective first
-        good = planner.plan(bad)
-        processor.count(bad, use_path_ids=False)
-        unplanned_work = processor.last_semijoin_work
-        processor.count(good, use_path_ids=False)
-        planned_work = processor.last_semijoin_work
-        assert planned_work < unplanned_work
+    def test_single_edge_nodes_stable(self, system):
+        plan = system.explain("//rec/common")
+        assert [(step.phase, step.node_tag) for step in plan.steps] == [
+            ("up", "rec"), ("down", "common"),
+        ]
