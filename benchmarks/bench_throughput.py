@@ -9,6 +9,10 @@ query to learn its cardinality.  Two claims are measured:
    the synopsis — while evaluation cost grows linearly with the document,
    so the gap widens with scale (the paper's corpora are 10-100x larger).
 
+Every estimate timed here is computed: the system's semantic result
+cache is at capacity 0 for the sweeps, so a repeat query is estimated
+again rather than replayed from the cache.
+
 XMark at bench scale is the adversarial case: ~1000 distinct path ids
 make the join itself non-trivial while the document is still small enough
 to evaluate quickly.  The scaling measurement runs on DBLP, whose path-id
@@ -22,7 +26,9 @@ argument.)
 
 import os
 import time
+from contextlib import contextmanager
 
+from repro.core.noorder import estimate_no_order
 from repro.datasets import generate
 from repro.harness import SystemFactory
 from repro.harness.tables import format_table, record_result
@@ -34,6 +40,19 @@ from repro.xpath import Evaluator
 #: the margin is thinner and overrides this to "no slower than legacy".
 KERNEL_MIN_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_SPEEDUP", "2.0"))
 KERNEL_REPEATS = 5
+
+
+@contextmanager
+def _uncached(system):
+    """Estimate with ``system``'s semantic result cache at capacity 0,
+    so every ``estimate`` call computes instead of replaying a hit."""
+    cache = system.semcache
+    capacity, ttl_s = cache.capacity, cache.ttl_s
+    cache.configure(0, None)
+    try:
+        yield
+    finally:
+        cache.configure(capacity, ttl_s)
 
 
 def _best_loop_s(actions, repeats):
@@ -53,29 +72,29 @@ def _best_loop_s(actions, repeats):
 def _kernel_vs_legacy(system, items, repeats=None):
     """Best-of sweep times (kernel path, legacy path) over ``items``.
 
-    One system, toggled between sweeps: both arms share the parse cache,
-    the clone caches and the provider, so the only difference is the
-    join representation.
+    The kernel arm runs ``system.estimate`` uncached; the legacy arm
+    calls the reference estimator (``estimate_no_order`` without
+    ``kernel=``, the Section 4 dict join).  Both arms share the provider
+    and the encoding table, so the only difference is the join
+    representation.
     """
+    path, table = system.path_provider, system.encoding_table
 
     def sweep_kernel():
-        system.kernel_enabled = True
         for item in items:
             system.estimate(item.query)
 
     def sweep_legacy():
-        system.kernel_enabled = False
-        try:
-            for item in items:
-                system.estimate(item.query)
-        finally:
-            system.kernel_enabled = True
+        for item in items:
+            estimate_no_order(item.query, path, table)
 
-    sweep_kernel()  # warm: compiles tag tables, pairs and query plans
-    sweep_legacy()  # warm: fills the legacy support caches
-    return _best_loop_s(
-        [sweep_kernel, sweep_legacy], KERNEL_REPEATS if repeats is None else repeats
-    )
+    with _uncached(system):
+        sweep_kernel()  # warm: compiles tag tables and pairs
+        sweep_legacy()  # warm: fills the legacy support caches
+        return _best_loop_s(
+            [sweep_kernel, sweep_legacy],
+            KERNEL_REPEATS if repeats is None else repeats,
+        )
 
 
 def _latencies(document, count=250, factory=None, workload=None):
@@ -86,13 +105,14 @@ def _latencies(document, count=250, factory=None, workload=None):
         workload = generator.full_workload(300, 300, 0).no_order()
     workload = workload[:count]
     evaluator = Evaluator(document)
-    for item in workload:  # warm every per-document cache (steady state)
-        system.estimate(item.query)
+    with _uncached(system):
+        for item in workload:  # warm every per-document cache (steady state)
+            system.estimate(item.query)
 
-    start = time.perf_counter()
-    for item in workload:
-        system.estimate(item.query)
-    estimate_ms = (time.perf_counter() - start) / len(workload) * 1000
+        start = time.perf_counter()
+        for item in workload:
+            system.estimate(item.query)
+        estimate_ms = (time.perf_counter() - start) / len(workload) * 1000
 
     start = time.perf_counter()
     for item in workload:

@@ -20,7 +20,6 @@ parser) or ``--dataset {SSPlays,DBLP,XMark}`` with ``--scale``/``--seed``.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import os
 import sys
@@ -35,11 +34,6 @@ from repro.xmltree.document import XmlDocument
 from repro.xmltree.parser import parse_xml
 from repro.xmltree.stats import document_stats
 from repro.xpath import Evaluator, parse_query
-
-# Repeated workload queries (estimate loops, validate sweeps) hit the
-# parser with the same few hundred texts; parse each distinct text once.
-_parse_cached = functools.lru_cache(maxsize=1024)(parse_query)
-
 
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
@@ -79,7 +73,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     system = EstimationSystem.build(
         document, p_variance=args.p_variance, o_variance=args.o_variance
     )
-    query = _parse_cached(args.query)
+    query = parse_query(args.query)
     estimate = system.estimate(query)
     print("estimate: %.3f" % estimate)
     if args.actual:

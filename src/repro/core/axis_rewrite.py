@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.pathjoin import path_join
 from repro.core.providers import PathStatsProvider
-from repro.core.transform import UnsupportedQueryError, clone_query_cached
+from repro.core.transform import UnsupportedQueryError, clone_query
 from repro.obs.trace import NULL_TRACER
 from repro.pathenc.encoding import EncodingTable
 from repro.pathenc.pathid import encodings_of
@@ -62,7 +62,7 @@ def rewrite_scoped_order_query(
         raise UnsupportedQueryError("foll/pre axis on the query root is not supported")
 
     # Path join on the order-free counterpart to find the relevant ids.
-    counterpart, mapping = clone_query_cached(query, order_to_structural=True)
+    counterpart, mapping = clone_query(query, order_to_structural=True)
     join = path_join(
         counterpart, provider, table,
         fixpoint=fixpoint, depth_consistent=depth_consistent,

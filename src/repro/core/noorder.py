@@ -76,25 +76,6 @@ def prune_to_spine(query: Query, target: QueryNode) -> Query:
     return Query(new_root, query.root_axis, target=clones[target.node_id])
 
 
-def _pruned_to_spine(query: Query, target: QueryNode) -> Query:
-    """``prune_to_spine`` with the clone cached on the query.
-
-    Queries are immutable once finalized, so the pruned counterpart for a
-    given target never changes; caching it keeps the clone's identity
-    stable across estimates, which the kernel's weak per-query plan cache
-    (and the legacy support cache) rely on for repeat hits.
-    """
-    cache = getattr(query, "_spine_prune_cache", None)
-    if cache is None:
-        cache = {}
-        query._spine_prune_cache = cache
-    pruned = cache.get(target.node_id)
-    if pruned is None:
-        pruned = prune_to_spine(query, target)
-        cache[target.node_id] = pruned
-    return pruned
-
-
 def estimate_no_order(
     query: Query,
     provider: PathStatsProvider,
@@ -140,7 +121,7 @@ def estimate_from_join(
     branching = branching_ancestor(query, node)
     if branching is None:
         return join.frequency(node)  # Theorem 4.1
-    pruned = _pruned_to_spine(query, node)
+    pruned = prune_to_spine(query, node)
     pruned_join = path_join(
         pruned,
         provider,

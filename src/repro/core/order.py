@@ -31,7 +31,7 @@ from repro.core.pathjoin import path_join
 from repro.core.providers import OrderStatsProvider, PathStatsProvider
 from repro.core.transform import (
     UnsupportedQueryError,
-    clone_query_cached,
+    clone_query,
     pattern_subtree_ids,
 )
 from repro.obs.trace import NULL_TRACER
@@ -111,7 +111,7 @@ def _estimate_multi_edge(
     """
     estimates = []
     for axis, source, dest in edges:
-        reduced, mapping = clone_query_cached(
+        reduced, mapping = clone_query(
             query,
             order_to_structural=True,
             keep_order_edges={(source.node_id, dest.node_id)},
@@ -168,7 +168,7 @@ class _OrderEstimator:
         self.tracer = tracer
         self.kernel = kernel
         # The order-free counterpart Q of the full query.
-        self.counterpart, self.counterpart_map = clone_query_cached(
+        self.counterpart, self.counterpart_map = clone_query(
             query, order_to_structural=True
         )
         # Joined on first use: Equation 5 reads S_Q three times.
@@ -262,7 +262,7 @@ class _OrderEstimator:
         ``Q'`` keeps the sibling's branch in full and strips the *other*
         branch to its head node, then drops the order axis.
         """
-        simplified, mapping = clone_query_cached(
+        simplified, mapping = clone_query(
             self.query,
             drop_subtree_of={other.node_id},
             order_to_structural=True,

@@ -106,10 +106,6 @@ class EstimationSystem:
         self.name = name or (
             labeled.document.name if labeled.document is not None else ""
         )
-        #: Serve joins through the compiled bitset kernel (bit-identical
-        #: to the legacy dict pipeline).  Flip to ``False`` to pin the
-        #: legacy path — the ablation/benchmark switch.
-        self.kernel_enabled = True
         self._kernel: Optional[SynopsisKernel] = None
         self._kernel_lock = threading.Lock()
         #: Canonicalized estimate memoization (repro.semcache): the plain
@@ -274,17 +270,15 @@ class EstimationSystem:
     # Compiled kernel
     # ------------------------------------------------------------------
 
-    def kernel(self) -> Optional[SynopsisKernel]:
+    def kernel(self) -> SynopsisKernel:
         """The compiled synopsis kernel, built lazily on first use.
 
-        Returns ``None`` when :attr:`kernel_enabled` is off.  The kernel
-        compiles per-tag index tables and containment bitmatrices on
-        demand (under its own lock, so concurrent service threads share
-        one compile), and the default estimation path runs the path join
-        on it; results are bit-identical to the legacy pipeline.
+        The kernel compiles per-tag index tables and containment
+        bitmatrices on demand (under its own lock, so concurrent service
+        threads share one compile), and every fixpoint, depth-consistent
+        estimate runs its path joins on it; results are bit-identical to
+        the Section 4 dict join of :mod:`repro.core.pathjoin`.
         """
-        if not self.kernel_enabled:
-            return None
         kernel = self._kernel
         if kernel is None:
             with self._kernel_lock:
@@ -298,10 +292,7 @@ class EstimationSystem:
 
     def kernel_active(self) -> bool:
         """True when joins on this system are served by the kernel."""
-        kernel = self.kernel()
-        return kernel is not None and kernel.supports(
-            self.path_provider, self.encoding_table
-        )
+        return self.kernel().supports(self.path_provider, self.encoding_table)
 
     def adopt_kernel(self, kernel: SynopsisKernel) -> None:
         """Attach a pre-built kernel instead of compiling one lazily.
@@ -331,16 +322,14 @@ class EstimationSystem:
     def kernel_state(self) -> str:
         """Readiness of the compiled kernel, without compiling one.
 
-        ``"disabled"`` (kernel turned off), ``"pending"`` (will compile
-        lazily on first estimate), ``"ready"`` (attached and serving),
-        ``"stale"`` (invalidated by a reload/append; awaiting
-        replacement) or ``"unsupported"`` (attached but cannot serve this
-        provider — e.g. depth-refined statistics).  ``/healthz`` exposes
+        ``"pending"`` (will compile lazily on first estimate),
+        ``"ready"`` (attached and serving), ``"stale"`` (invalidated by a
+        reload/append; awaiting replacement) or ``"unsupported"``
+        (attached but cannot serve this provider — e.g. depth-refined
+        statistics).  ``/healthz`` exposes
         this per synopsis so load balancers can tell a warmed-up worker
         from one that would eat the compile cost on its next request.
         """
-        if not self.kernel_enabled:
-            return "disabled"
         kernel = self._kernel
         if kernel is None:
             return "pending"
@@ -492,13 +481,9 @@ class EstimationSystem:
         textual variants of one tree.  A miss runs ``compute`` (by
         default, ``parsed`` along its route) and offers its value to the
         cache.
-
-        ``kernel_enabled=False`` is the ablation/benchmark control arm
-        and must execute every estimate honestly, so it bypasses the
-        cache entirely (no reads, no writes).
         """
         cache = self.semcache
-        live = cache.enabled and self.kernel_enabled
+        live = cache.enabled
         if live:
             if key is None:
                 key = canonical_key(parsed, commutative=opts.fixpoint)

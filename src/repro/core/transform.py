@@ -77,44 +77,6 @@ def clone_query(
     return Query(new_root, query.root_axis, target=mapped_target), clones
 
 
-def clone_query_cached(
-    query: Query,
-    drop_subtree_of: Optional[Set[int]] = None,
-    order_to_structural: bool = False,
-    target: Optional[QueryNode] = None,
-    keep_order_edges: Optional[Set[Tuple[int, int]]] = None,
-) -> Tuple[Query, Dict[int, QueryNode]]:
-    """:func:`clone_query` with the result cached on the source query.
-
-    Patterns are immutable once finalized, so a given transformation
-    always yields the same clone; keeping its identity stable lets the
-    per-query caches downstream (the kernel's weak plan map, the legacy
-    support cache) hit on repeat estimates instead of replanning a fresh
-    clone every call.
-    """
-    key = (
-        frozenset(drop_subtree_of) if drop_subtree_of else None,
-        order_to_structural,
-        target.node_id if target is not None else None,
-        frozenset(keep_order_edges) if keep_order_edges else None,
-    )
-    cache = getattr(query, "_clone_cache", None)
-    if cache is None:
-        cache = {}
-        query._clone_cache = cache
-    entry = cache.get(key)
-    if entry is None:
-        entry = clone_query(
-            query,
-            drop_subtree_of=drop_subtree_of,
-            order_to_structural=order_to_structural,
-            target=target,
-            keep_order_edges=keep_order_edges,
-        )
-        cache[key] = entry
-    return entry
-
-
 def _lift_order_edges(
     query: Query,
     new_root: QueryNode,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from array import array
 from typing import Dict, List, Optional, Tuple
 
@@ -148,9 +147,6 @@ class SynopsisKernel:
         self._tags: Dict[str, TagTable] = {}
         self._tag_totals: Dict[str, float] = {}
         self._pairs: Dict[Tuple[str, str, bool], ContainmentPair] = {}
-        self._plans: "weakref.WeakKeyDictionary[Query, object]" = (
-            weakref.WeakKeyDictionary()
-        )
         # Depth-refined providers seed the join from empirical per-depth
         # frequencies; the kernel compiles static feasibility only.
         self.eligible = getattr(provider, "depth_frequency_map", None) is None
@@ -185,7 +181,6 @@ class SynopsisKernel:
         with self._lock:
             self.invalidated = True
             self._tag_totals.clear()
-            self._plans = weakref.WeakKeyDictionary()
             for pair in self._pairs.values():
                 pair.down_memo.clear()
                 pair.up_memo.clear()
@@ -341,25 +336,8 @@ class SynopsisKernel:
         return ContainmentPair(tuple(down), tuple(up))
 
     # ------------------------------------------------------------------
-    # Query plans and joins
+    # Joins
     # ------------------------------------------------------------------
-
-    def query_plan(self, query: Query, tracer=NULL_TRACER):
-        """Resolved (tag tables, constraint steps) for one query AST.
-
-        Weakly keyed by the AST object, so a plan lives as long as its
-        AST: the service's plan cache (and, for in-process callers that
-        pass text, the parser's ``lru_cache``) keeps hot queries alive,
-        and repeat estimates skip constraint derivation entirely.
-        """
-        plan = self._plans.get(query)
-        if plan is None:
-            from repro.kernel.join import build_query_plan
-
-            plan = build_query_plan(self, query, tracer)
-            with self._lock:
-                self._plans[query] = plan
-        return plan
 
     def join(self, query: Query, provider=None, tracer=NULL_TRACER):
         """Bitset path join; see :func:`repro.kernel.join.kernel_join`."""
@@ -383,7 +361,6 @@ class SynopsisKernel:
                 "fallbacks": self.fallbacks,
                 "tag_tables": len(self._tags),
                 "pairs": len(self._pairs),
-                "plans": len(self._plans),
                 "memo_entries": memo_entries,
                 "build_ms": round(self.build_ms, 3),
                 "invalidated": self.invalidated,

@@ -181,7 +181,7 @@ def kernel_join(
     """Depth-consistent fixpoint join on compiled bitsets, in two passes."""
     kernel.joins += 1
     with tracer.aggregate("join") as join_span:
-        plan = kernel.query_plan(query, tracer)
+        plan = build_query_plan(kernel, query, tracer)
         tables = plan.node_tables
         traced = tracer.enabled
         states: List[List[int]] = []

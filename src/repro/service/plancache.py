@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.axis_rewrite import rewrite_scoped_order_query
-from repro.core.system import ROUTE_NO_ORDER, ROUTE_SCOPED, EstimationSystem
+from repro.core.system import ROUTE_SCOPED, EstimationSystem
 from repro.semcache import canonical_key
 from repro.xpath.ast import Query
 from repro.xpath.parser import parse_query
@@ -37,7 +37,7 @@ DEFAULT_CAPACITY = 512
 class CompiledPlan:
     """A query compiled against one synopsis generation."""
 
-    __slots__ = ("text", "query", "route", "variants", "kernel", "canonical")
+    __slots__ = ("text", "query", "route", "variants", "canonical")
 
     def __init__(
         self,
@@ -45,15 +45,11 @@ class CompiledPlan:
         query: Query,
         route: str,
         variants: Optional[List[Tuple[Query, str]]] = None,
-        kernel: bool = False,
     ):
         self.text = text
         self.query = query
         self.route = route
         self.variants = variants
-        # True when the plan was compiled against a live synopsis kernel
-        # (its no-order joins were pre-planned on the bitset path).
-        self.kernel = kernel
         # Semantic-cache key, computed once at compile time (off the
         # hot path) so equivalent-but-differently-written texts share
         # one entry in the system's SemanticResultCache.
@@ -72,36 +68,25 @@ class CompiledPlan:
 def compile_plan(system: EstimationSystem, text: str) -> CompiledPlan:
     """Parse, route and (for scoped axes) pre-rewrite one query text.
 
-    When the synopsis carries a compiled kernel, the plan's no-order
-    targets are pre-planned on the kernel (tag tables, containment pairs
-    and the per-query bitset plan are built now, off the hot path), and
-    the plan records that it was compiled against the kernel.
-
     The text is parsed uncached, so the plan cache is the only holder of
-    a served AST: an evicted plan frees its AST together with the clones
-    and kernel plans hung off it, instead of the parser's text-keyed LRU
-    keeping thousands of cold ASTs alive for the collector to walk.
+    a served AST: an evicted plan frees its AST (and its scoped
+    variants), instead of the parser's text-keyed LRU keeping thousands
+    of cold ASTs alive for the collector to walk.
     """
     query = parse_query(text)
     route = system.select_route(query)
-    kernel = system.kernel()
     variants: Optional[List[Tuple[Query, str]]] = None
     if route == ROUTE_SCOPED:
         variants = [
             (variant, system.select_route(variant))
             for variant in rewrite_scoped_order_query(
-                query, system.path_provider, system.encoding_table, kernel=kernel
+                query,
+                system.path_provider,
+                system.encoding_table,
+                kernel=system.kernel(),
             )
         ]
-    kernel_ready = kernel is not None and kernel.supports(
-        system.path_provider, system.encoding_table
-    )
-    if kernel_ready:
-        targets = variants if variants is not None else [(query, route)]
-        for target, target_route in targets:
-            if target_route == ROUTE_NO_ORDER:
-                kernel.query_plan(target)
-    return CompiledPlan(text, query, route, variants, kernel=kernel_ready)
+    return CompiledPlan(text, query, route, variants)
 
 
 @dataclass(frozen=True)

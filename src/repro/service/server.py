@@ -445,7 +445,7 @@ class EstimationService:
             if memo is not None:
                 memo[text] = memo[plan.canonical] = (plan, value)
             route = plan.route
-            kernel_used = bool(plan.kernel) and system.kernel_active()
+            kernel_used = system.kernel_active()
             self.metrics.incr(
                 "semcache_hits_total" if result_hit else "semcache_misses_total"
             )
@@ -797,12 +797,12 @@ class EstimationService:
         server *is* serving, just not the newest synopsis.
 
         ``kernels`` maps each synopsis to its compiled-kernel readiness
-        (``ready`` / ``pending`` / ``stale`` / ``disabled`` /
-        ``unsupported``) *without* triggering a compile, so a load
-        balancer can tell a warmed-up instance from one that would pay
-        the build cost on its next estimate.  Under a worker pool the
-        reply also carries per-worker ``{pid, generation, alive}`` from
-        the shared arena — the remap generation each worker serves.
+        (``ready`` / ``pending`` / ``stale`` / ``unsupported``) *without*
+        triggering a compile, so a load balancer can tell a warmed-up
+        instance from one that would pay the build cost on its next
+        estimate.  Under a worker pool the reply also carries per-worker
+        ``{pid, generation, alive}`` from the shared arena — the remap
+        generation each worker serves.
         """
         degraded = {}
         reload_failures = 0
@@ -884,7 +884,6 @@ class EstimationService:
             "fallbacks": 0,
             "tag_tables": 0,
             "pairs": 0,
-            "plans": 0,
             "memo_entries": 0,
             "build_ms": 0.0,
             "hits": self.metrics.counter("kernel_hits_total"),
@@ -908,8 +907,7 @@ class EstimationService:
                 if system.kernel_state() == "ready":
                     totals["active"] += 1
                 for key in (
-                    "joins", "fallbacks", "tag_tables", "pairs",
-                    "plans", "memo_entries",
+                    "joins", "fallbacks", "tag_tables", "pairs", "memo_entries",
                 ):
                     totals[key] += stats[key]
                 totals["build_ms"] += stats["build_ms"]

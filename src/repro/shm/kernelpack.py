@@ -135,7 +135,7 @@ def pack_bytes(
         synopsis_text = persist.dumps(system)
     compile_system = persist.loads(synopsis_text)
     kernel = compile_system.kernel()
-    if kernel is None or not kernel.eligible:
+    if not kernel.eligible:
         raise KernelPackError(
             "only kernel-eligible (histogram-backed) synopses can be packed"
         )

@@ -1,5 +1,7 @@
 """Tests for the stitched reproduction report."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -69,6 +71,16 @@ class TestBuild:
         output = str(tmp_path / "out.txt")
         text = write_report(results_dir, output=output)
         assert open(output, encoding="utf-8").read().strip() == text.strip()
+
+
+class TestCommittedReport:
+    def test_committed_report_matches_bench_results(self):
+        """``reproduction_report.txt`` is what ``python -m repro report
+        --output reproduction_report.txt`` renders from the committed
+        ``bench_results/``; re-run it after re-recording a bench."""
+        root = Path(__file__).resolve().parents[2]
+        committed = (root / "reproduction_report.txt").read_text(encoding="utf-8")
+        assert committed == build_report(str(root / "bench_results")) + "\n"
 
 
 class TestCliIntegration:

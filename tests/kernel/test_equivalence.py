@@ -1,9 +1,12 @@
-"""Kernel path vs legacy path: bit-for-bit equivalence on real workloads.
+"""Kernel path vs the Section 4 join: bit-for-bit equivalence on real
+workloads.
 
 The compiled kernel is a pure representation change — same fixpoint, same
 iteration order for every float sum — so estimates must be *identical*
 (``==``, not approx) across the full workload suite of all three
-datasets, at the estimate, trace and join-result levels.
+datasets, at the estimate, trace and join-result levels.  The reference
+side calls the public estimators without ``kernel=``, which runs every
+join through the dict join of :mod:`repro.core.pathjoin`.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.axis_rewrite import rewrite_scoped_order_query
+from repro.core.noorder import estimate_no_order
 from repro.core.options import EstimateOptions
-from repro.core.order import sibling_order_edges
+from repro.core.order import estimate_with_order, sibling_order_edges
 from repro.core.pathjoin import path_join
+from repro.core.system import ROUTE_ORDER, ROUTE_SCOPED
 from repro.core.transform import clone_query
 from repro.kernel.join import build_query_plan
 from repro.workload import WorkloadGenerator
@@ -80,20 +85,32 @@ def _spans(trace):
         stack.extend(span.get("children", ()))
 
 
-def _legacy_estimates(system, items):
-    system.kernel_enabled = False
-    try:
-        return [system.estimate(item.query) for item in items]
-    finally:
-        system.kernel_enabled = True
+def _reference_estimate(system, query, **ablation):
+    """``system.estimate(query, **ablation)`` on the Section 4 join."""
+    path, table = system.path_provider, system.encoding_table
+    route = system.select_route(query)
+    if route == ROUTE_SCOPED:
+        return sum(
+            _reference_estimate(system, variant, **ablation)
+            for variant in rewrite_scoped_order_query(query, path, table, **ablation)
+        )
+    if route == ROUTE_ORDER:
+        return estimate_with_order(
+            query, path, system.order_provider, table, **ablation
+        )
+    return estimate_no_order(query, path, table, **ablation)
+
+
+def _reference_estimates(system, items):
+    return [_reference_estimate(system, item.query) for item in items]
 
 
 class TestEstimateEquivalence:
-    def test_every_workload_query_is_bit_identical(self, kernel_envs):
+    def test_every_workload_query_is_bit_identical(self, kernel_envs, scoped_items):
         for name, system, workload in kernel_envs:
-            items = _all_items(workload)
+            items = _all_items(workload) + scoped_items[name]
             assert items, name
-            legacy = _legacy_estimates(system, items)
+            legacy = _reference_estimates(system, items)
             kernel = [system.estimate(item.query) for item in items]
             mismatches = [
                 (item.text, lhs, rhs)
@@ -173,13 +190,11 @@ class TestJoinEquivalence:
         not compiled; the system must route them around the kernel."""
         name, system, workload = kernel_envs[0]
         item = workload.branch[0]
+        joins = system.kernel().joins
         for kwargs in ({"fixpoint": False}, {"depth_consistent": False}):
             relaxed = system.estimate(item.query, **kwargs)
-            system.kernel_enabled = False
-            try:
-                assert relaxed == system.estimate(item.query, **kwargs)
-            finally:
-                system.kernel_enabled = True
+            assert relaxed == _reference_estimate(system, item.query, **kwargs)
+        assert system.kernel().joins == joins
 
 
 class TestHistogramProviders:
@@ -194,7 +209,7 @@ class TestHistogramProviders:
             raw_simple=40, raw_branch=40, raw_order=50
         )
         items = _all_items(workload)
-        legacy = _legacy_estimates(system, items)
+        legacy = _reference_estimates(system, items)
         kernel = [system.estimate(item.query) for item in items]
         assert legacy == kernel
         assert system.kernel().stats()["fallbacks"] == 0

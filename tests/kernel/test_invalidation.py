@@ -157,13 +157,3 @@ class TestSystemLevel:
         # A fresh kernel is compiled on demand afterwards.
         assert figure1_system.kernel() is not kernel
         assert figure1_system.kernel_active()
-
-    def test_disabled_kernel_routes_legacy(self, figure1_system):
-        value = figure1_system.estimate(QUERY)
-        figure1_system.kernel_enabled = False
-        try:
-            assert figure1_system.kernel() is None
-            assert not figure1_system.kernel_active()
-            assert figure1_system.estimate(QUERY) == value
-        finally:
-            figure1_system.kernel_enabled = True

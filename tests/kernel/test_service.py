@@ -3,7 +3,9 @@
 Traced requests bypass the semantic result cache, so their ``kernel`` field
 is derived from the span tree of the real execution (a ``bitset_join``
 span) rather than from plan state — the observability overhead gate
-stays meaningful either way.
+stays meaningful either way.  The fallback cases serve a depth-refined
+synopsis, whose statistics the kernel cannot compile, so every join
+takes the Section 4 dict join.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ def service(figure1):
     return EstimationService(registry), system
 
 
+@pytest.fixture()
+def unkerneled_service(figure1):
+    system = EstimationSystem.build(figure1, use_histograms=False, depth_refined=True)
+    registry = SynopsisRegistry()
+    registry.register("fig1", system)
+    return EstimationService(registry), system
+
+
 class TestKernelField:
     def test_untraced_response_reports_kernel(self, service):
         svc, system = service
@@ -31,9 +41,8 @@ class TestKernelField:
         assert body["result"]["kernel"] is True
         assert svc.metrics.counter("kernel_hits_total") == 1
 
-    def test_untraced_response_with_kernel_disabled(self, service):
-        svc, system = service
-        system.kernel_enabled = False
+    def test_untraced_response_with_kernel_disabled(self, unkerneled_service):
+        svc, system = unkerneled_service
         body = svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
         assert body["result"]["kernel"] is False
         assert svc.metrics.counter("kernel_misses_total") == 1
@@ -49,9 +58,8 @@ class TestKernelField:
         untraced = svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
         assert body["result"]["value"] == untraced["result"]["value"]
 
-    def test_traced_response_with_kernel_disabled(self, service):
-        svc, system = service
-        system.kernel_enabled = False
+    def test_traced_response_with_kernel_disabled(self, unkerneled_service):
+        svc, system = unkerneled_service
         body = svc.handle_estimate(
             {"synopsis": "fig1", "query": QUERY, "trace": True}
         )
@@ -109,14 +117,15 @@ class TestKernelMetrics:
         assert "repro_kernel_active_synopses" in text
         assert "repro_kernel_fallbacks_total 0" in text
 
-    def test_kernel_block_counts_inactive_kernels(self, service):
-        svc, system = service
-        system.kernel_enabled = False
+    def test_kernel_block_counts_inactive_kernels(self, unkerneled_service):
+        svc, system = unkerneled_service
         svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
         block = svc.metrics_document()["kernel"]
         assert block["synopses"] == 1
         assert block["active"] == 0
+        assert block["fallbacks"] > 0
         assert block["misses"] == 1
+        assert svc.healthz()["kernels"] == {"fig1": "unsupported"}
 
     def test_scrape_never_attaches_a_kernel(self, service):
         svc, system = service

@@ -128,17 +128,6 @@ class TestGenerationBump:
         assert detailed.value == truth
         assert traced.value == truth
 
-    def test_ablation_arm_never_touches_the_cache(self, figure1):
-        system = EstimationSystem.build(figure1, p_variance=0, o_variance=0)
-        system.kernel_enabled = False
-        before = system.semcache.stats()
-        system.estimate(QUERY)
-        system.estimate(QUERY)
-        after = system.semcache.stats()
-        assert (after.hits, after.misses, after.size) == (
-            before.hits, before.misses, before.size,
-        )
-
 
 class TestRegistryInvalidation:
     @pytest.fixture()

@@ -56,9 +56,10 @@ class TestPlanCacheHoldsServedAsts:
         assert after.currsize == parsed.currsize
         assert after.misses == parsed.misses
         assert service.plan_cache.stats().evictions == 3 * CAPACITY
-        # Each cached plan keeps its AST and a few pruned clones; the 48
-        # evicted plans keep nothing.
-        assert len(_live_query_ids() - before) <= 2 * CAPACITY
+        # None of these texts is scoped, so each cached plan keeps exactly
+        # its own AST (no clones or variants); the 48 evicted plans keep
+        # nothing.
+        assert len(_live_query_ids() - before) <= CAPACITY
 
 
 class TestCollectorPolicy:
