@@ -4,6 +4,8 @@
   (table-backed) providers; histogram sets implement the same protocol.
 * :mod:`~repro.core.pathjoin` — the path join: per-query-node pruning of
   incompatible path ids (Section 4), with an optional fixpoint iteration.
+* :mod:`~repro.core.transform` — the order-free counterpart of a query,
+  compiled once per estimate, with its sub-patterns as node masks.
 * :mod:`~repro.core.noorder` — Theorem 4.1 (simple queries) and Equation 2
   (branch queries, Node Independence Assumption).
 * :mod:`~repro.core.order` — Equations 3-5 for ``folls``/``pres`` queries

@@ -16,9 +16,9 @@ documented as an approximation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.core.pathjoin import path_join
+from repro.core.pathjoin import path_join, structural_link
 from repro.core.providers import PathStatsProvider
 from repro.core.transform import UnsupportedQueryError, clone_query
 from repro.obs.trace import NULL_TRACER
@@ -58,7 +58,7 @@ def rewrite_scoped_order_query(
     axis, source, dest = edges[0]
     sibling_axis = QueryAxis.FOLLS if axis is QueryAxis.FOLL else QueryAxis.PRES
 
-    if _structural_anchor_tag(query, source) is None:
+    if structural_link(query, source) is None:
         raise UnsupportedQueryError("foll/pre axis on the query root is not supported")
 
     # Path join on the order-free counterpart to find the relevant ids.
@@ -122,16 +122,6 @@ def _context_parent_tags(query, source, join, mapping, table) -> Set[str]:
                 if labels[depth] == source.tag:
                     tags.add(labels[depth - 1])
     return tags
-
-
-def _structural_anchor_tag(query: Query, node: QueryNode) -> Optional[str]:
-    link = query.parent_link(node)
-    while link is not None:
-        axis, parent = link
-        if axis.is_structural:
-            return parent.tag
-        link = query.parent_link(parent)
-    return None
 
 
 def _rewrite_one(

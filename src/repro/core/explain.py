@@ -5,8 +5,12 @@ paper applies) and exposes the intermediate quantities.  The execution
 plan view is :meth:`EstimationSystem.explain`, which returns the
 :class:`~repro.plan.ir.Plan` that ``execute`` would run.
 
-The reported ``estimate`` is always identical to
-``EstimationSystem.estimate`` (a test pins this).
+The report reads the quantities from the estimator's own mask-based
+parts (:class:`~repro.core.transform.CompiledPattern`,
+:class:`~repro.core.order.OrderEdge`), so the reported ``estimate`` is
+``EstimationSystem.estimate``'s; ``tests/core/test_explain.py`` checks
+that on the paper's rules, on multi-edge order queries and on the
+generated workloads.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
 from repro.core.axis_rewrite import rewrite_scoped_order_query, scoped_order_edges
-from repro.core.noorder import branching_ancestor, estimate_no_order, prune_to_spine
-from repro.core.order import _OrderEstimator, sibling_order_edges
-from repro.core.pathjoin import path_join
+from repro.core.noorder import masked_estimate
+from repro.core.order import OrderEdge, sibling_order_edges
 from repro.core.system import EstimationSystem, _coerce_query
-from repro.xpath.ast import Query, QueryAxis
+from repro.core.transform import CompiledPattern
+from repro.xpath.ast import Query
 
 
 @dataclass
@@ -71,77 +75,88 @@ def explain(system: EstimationSystem, query: Union[str, Query]) -> EstimateRepor
             details={"variants": float(len(reports))},
             variants=reports,
         )
-    if sibling_order_edges(parsed):
-        return _explain_order(system, parsed)
-    return _explain_no_order(system, parsed)
+    text = parsed.to_string()
+    target = parsed.target.node_id
+    edges = sibling_order_edges(parsed)
+    with CompiledPattern(
+        parsed, system.path_provider, system.encoding_table,
+        kernel=system.kernel(),
+    ) as pattern:
+        if not edges:
+            return _explain_no_order(pattern, target, text)
+        reports = [
+            _explain_edge(
+                OrderEdge(pattern, system.order_provider, axis, source, dest),
+                target,
+                text if len(edges) == 1 else "%s/%s::%s" % (
+                    source.tag, axis.value, dest.tag
+                ),
+            )
+            for axis, source, dest in edges
+        ]
+    if len(reports) == 1:
+        return reports[0]
+    return EstimateReport(
+        text,
+        parsed.target.tag,
+        "equation-5-min",
+        min(report.estimate for report in reports),
+        details={"order_edges": float(len(reports))},
+        variants=reports,
+    )
 
 
-def _explain_no_order(system: EstimationSystem, query: Query) -> EstimateReport:
-    join = path_join(query, system.path_provider, system.encoding_table)
-    target = query.target
+def _explain_no_order(
+    pattern: CompiledPattern, target: int, text: str
+) -> EstimateReport:
+    full = pattern.full
+    node = pattern.nodes[target]
+    join = pattern.join(full)
     if join.empty:
-        return EstimateReport(query.to_string(), target.tag, "empty-join", 0.0)
-    branching = branching_ancestor(query, target)
-    estimate = estimate_no_order(query, system.path_provider, system.encoding_table)
-    if branching is None:
+        return EstimateReport(text, node.tag, "empty-join", 0.0)
+    estimate = masked_estimate(pattern, full, target)
+    branching = pattern.branching_ancestor(full, target)
+    if branching < 0:
         return EstimateReport(
-            query.to_string(),
-            target.tag,
+            text,
+            node.tag,
             "theorem-4.1",
             estimate,
-            details={"f_Q(n)": join.frequency(target), "surviving_pids": float(len(join.pids(target)))},
-        )
-    pruned = prune_to_spine(query, target)
-    pruned_join = path_join(pruned, system.path_provider, system.encoding_table)
-    s_ni = estimate_no_order(
-        query, system.path_provider, system.encoding_table, target=branching
-    )
-    details = {
-        "f_Q'(n)": 0.0 if pruned_join.empty else pruned_join.frequency(pruned.target),
-        "S_Q(ni)": s_ni,
-        "ni_tag_is_" + branching.tag: 1.0,
-    }
-    return EstimateReport(query.to_string(), target.tag, "equation-2", estimate, details)
-
-
-def _explain_order(system: EstimationSystem, query: Query) -> EstimateReport:
-    axis, source, dest = sibling_order_edges(query)[0]
-    earlier, later = (source, dest) if axis is QueryAxis.FOLLS else (dest, source)
-    estimator = _OrderEstimator(
-        query,
-        earlier,
-        later,
-        system.path_provider,
-        system.order_provider,
-        system.encoding_table,
-        fixpoint=True,
-    )
-    target = query.target
-    estimate = estimator.estimate(target)
-    if target.node_id in estimator.later_ids:
-        sibling, other = later, earlier
-    elif target.node_id in estimator.earlier_ids:
-        sibling, other = earlier, later
-    else:
-        s_q_n = estimator._counterpart_estimate(target)
-        s_earlier = estimator._sibling_estimate(earlier, later)
-        s_later = estimator._sibling_estimate(later, earlier)
-        return EstimateReport(
-            query.to_string(),
-            target.tag,
-            "equation-5",
-            estimate,
             details={
-                "S_Q(n)": s_q_n,
-                "S_ord(earlier=%s)" % earlier.tag: s_earlier,
-                "S_ord(later=%s)" % later.tag: s_later,
+                "f_Q(n)": join.frequency(node),
+                "surviving_pids": float(len(join.pids(node))),
             },
         )
-    s_order_prime, s_prime = estimator._order_ratio_parts(sibling, other)
-    rule = "equation-3" if target is sibling else "equation-4"
+    pruned_join = pattern.join(pattern.spine_prune(full, target))
     details = {
-        "S_ordQ'(%s)" % sibling.tag: s_order_prime,
-        "S_Q'(%s)" % sibling.tag: s_prime,
-        "S_Q(n)": estimator._counterpart_estimate(target),
+        "f_Q'(n)": 0.0 if pruned_join.empty else pruned_join.frequency(node),
+        "S_Q(ni)": masked_estimate(pattern, full, branching),
+        "ni_tag_is_" + pattern.nodes[branching].tag: 1.0,
     }
-    return EstimateReport(query.to_string(), target.tag, rule, estimate, details)
+    return EstimateReport(text, node.tag, "equation-2", estimate, details)
+
+
+def _explain_edge(edge: OrderEdge, target: int, text: str) -> EstimateReport:
+    """Equation 3, 4 or 5 for one sibling-order edge."""
+    tag = edge.pattern.nodes[target].tag
+    estimate = edge.estimate(target)
+    branch = edge.branch_of(target)
+    if branch is None:
+        earlier = edge.pattern.nodes[edge.earlier].tag
+        later = edge.pattern.nodes[edge.later].tag
+        details = {
+            "S_Q(n)": edge.counterpart_estimate(target),
+            "S_ord(earlier=%s)" % earlier: edge.sibling_estimate(edge.earlier, edge.later),
+            "S_ord(later=%s)" % later: edge.sibling_estimate(edge.later, edge.earlier),
+        }
+        return EstimateReport(text, tag, "equation-5", estimate, details)
+    sibling, other = branch
+    s_order_prime, s_prime = edge.ratio_parts(sibling, other)
+    sibling_tag = edge.pattern.nodes[sibling].tag
+    details = {
+        "S_ordQ'(%s)" % sibling_tag: s_order_prime,
+        "S_Q'(%s)" % sibling_tag: s_prime,
+        "S_Q(n)": edge.counterpart_estimate(target),
+    }
+    rule = "equation-3" if target == sibling else "equation-4"
+    return EstimateReport(text, tag, rule, estimate, details)

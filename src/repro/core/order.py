@@ -26,14 +26,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.noorder import estimate_from_join, estimate_no_order
-from repro.core.pathjoin import path_join
+from repro.core.noorder import estimate_no_order, masked_estimate
 from repro.core.providers import OrderStatsProvider, PathStatsProvider
-from repro.core.transform import (
-    UnsupportedQueryError,
-    clone_query,
-    pattern_subtree_ids,
-)
+from repro.core.transform import CompiledPattern, UnsupportedQueryError
 from repro.obs.trace import NULL_TRACER
 from repro.pathenc.encoding import EncodingTable
 from repro.xpath.ast import Query, QueryAxis, QueryNode
@@ -59,7 +54,16 @@ def estimate_with_order(
     tracer=NULL_TRACER,
     kernel=None,
 ) -> float:
-    """Estimate ``S_Q⃗(target)`` for a query with one sibling-order edge."""
+    """Estimate ``S_Q⃗(target)`` for a query with sibling-order edges.
+
+    With several edges this is the generalized Equation 5: each edge runs
+    the single-edge machinery with every *other* order edge relaxed to
+    its structural counterpart, and the estimate is the minimum over the
+    edges.  When the target sits inside one edge's sibling branches that
+    edge contributes the target-aware Equation 3/4 value and every other
+    edge acts as an Equation-5-style cap (DESIGN.md §5 generalization —
+    the paper's standardized form has exactly one order axis).
+    """
     node = target if target is not None else query.target
     if any(axis.is_scoped_order for axis, _, _ in query.iter_edges()):
         raise UnsupportedQueryError(
@@ -73,210 +77,111 @@ def estimate_with_order(
             fixpoint=fixpoint, depth_consistent=depth_consistent,
             tracer=tracer, kernel=kernel,
         )
-    if len(edges) > 1:
-        return _estimate_multi_edge(
-            query, edges, path_provider, order_provider, table, node,
-            fixpoint, depth_consistent, tracer, kernel,
+    # The counterpart Q: every join of Equations 3-5 runs on a mask of
+    # it.  The per-edge relaxations of a multi-edge query all share it,
+    # since relaxing the edges one at a time or all at once re-attaches
+    # each sibling branch to the same structural parent.
+    with CompiledPattern(
+        query, path_provider, table, fixpoint, depth_consistent, tracer, kernel
+    ) as pattern:
+        return min(
+            OrderEdge(pattern, order_provider, axis, source, dest).estimate(node.node_id)
+            for axis, source, dest in edges
         )
-    axis, source, dest = edges[0]
-    earlier, later = (source, dest) if axis is QueryAxis.FOLLS else (dest, source)
-    estimator = _OrderEstimator(
-        query, earlier, later, path_provider, order_provider, table,
-        fixpoint, depth_consistent, tracer, kernel,
-    )
-    return estimator.estimate(node)
 
 
-def _estimate_multi_edge(
-    query: Query,
-    edges: List[Tuple[QueryAxis, QueryNode, QueryNode]],
-    path_provider: PathStatsProvider,
-    order_provider: OrderStatsProvider,
-    table: EncodingTable,
-    node: QueryNode,
-    fixpoint: bool,
-    depth_consistent: bool,
-    tracer=NULL_TRACER,
-    kernel=None,
-) -> float:
-    """Generalized Equation 5 for multiple sibling-order axes.
+class OrderEdge:
+    """Equations 3-5 for one sibling-order edge, over the counterpart.
 
-    For each order edge, all *other* order edges are relaxed to their
-    structural counterparts and the single-edge machinery runs; the final
-    estimate is the minimum over the per-edge estimates.  When the target
-    sits inside one edge's sibling branches that edge contributes the
-    target-aware Equation 3/4 value and every other edge acts as an
-    Equation-5-style cap (DESIGN.md §5 generalization — the paper's
-    standardized form has exactly one order axis).
+    ``earlier``/``later`` are the node ids of the edge's earlier and
+    later sibling.  Both hang off the same structural parent in the
+    counterpart, and a sibling's branch is its subtree there.
     """
-    estimates = []
-    for axis, source, dest in edges:
-        reduced, mapping = clone_query(
-            query,
-            order_to_structural=True,
-            keep_order_edges={(source.node_id, dest.node_id)},
-            target=node,
-        )
-        estimates.append(
-            estimate_with_order(
-                reduced,
-                path_provider,
-                order_provider,
-                table,
-                target=mapping[node.node_id],
-                fixpoint=fixpoint,
-                depth_consistent=depth_consistent,
-                tracer=tracer,
-                kernel=kernel,
-            )
-        )
-    return min(estimates)
-
-
-def _is_edge_source(query: Query, candidate: QueryNode, other: QueryNode) -> bool:
-    """Does the sibling-order edge run ``candidate -> other``?"""
-    return any(
-        edge.node is other and edge.axis.is_sibling_order
-        for edge in candidate.edges
-    )
-
-
-class _OrderEstimator:
-    """Carries the per-query context of Equations 3-5."""
 
     def __init__(
         self,
-        query: Query,
-        earlier: QueryNode,
-        later: QueryNode,
-        path_provider: PathStatsProvider,
+        pattern: CompiledPattern,
         order_provider: OrderStatsProvider,
-        table: EncodingTable,
-        fixpoint: bool,
-        depth_consistent: bool = True,
-        tracer=NULL_TRACER,
-        kernel=None,
+        axis: QueryAxis,
+        source: QueryNode,
+        dest: QueryNode,
     ):
-        self.query = query
-        self.earlier = earlier
-        self.later = later
-        self.paths = path_provider
+        self.pattern = pattern
         self.orders = order_provider
-        self.table = table
-        self.fixpoint = fixpoint
-        self.depth_consistent = depth_consistent
-        self.tracer = tracer
-        self.kernel = kernel
-        # The order-free counterpart Q of the full query.
-        self.counterpart, self.counterpart_map = clone_query(
-            query, order_to_structural=True
-        )
-        # Joined on first use: Equation 5 reads S_Q three times.
-        self._counterpart_join = None
-        # Pattern membership of the two sibling branches.  The defining
-        # order edge runs source -> dest; dest's subtree never contains the
-        # source (patterns are trees), while the source's subtree reaches
-        # dest *through* the order edge and must exclude it.  Which side is
-        # "earlier" depends on the axis (folls: source; pres: dest).
-        source_is_earlier = earlier is not later and _is_edge_source(query, earlier, later)
-        dest = later if source_is_earlier else earlier
-        source = earlier if source_is_earlier else later
-        dest_ids = pattern_subtree_ids(query, dest, cross_order=True)
-        source_ids = pattern_subtree_ids(query, source, cross_order=True) - dest_ids
-        if source_is_earlier:
-            self.earlier_ids, self.later_ids = source_ids, dest_ids
+        if axis is QueryAxis.FOLLS:
+            self.earlier, self.later = source.node_id, dest.node_id
         else:
-            self.earlier_ids, self.later_ids = dest_ids, source_ids
+            self.earlier, self.later = dest.node_id, source.node_id
 
-    # ------------------------------------------------------------------
+    def branch_of(self, node_id: int) -> Optional[Tuple[int, int]]:
+        """``(sibling, other)`` when ``node_id`` sits in one of the two
+        sibling branches; ``None`` for the trunk (or an unrelated branch).
+        """
+        subtree = self.pattern.subtree
+        if subtree[self.later] >> node_id & 1:
+            return self.later, self.earlier
+        if subtree[self.earlier] >> node_id & 1:
+            return self.earlier, self.later
+        return None
 
-    def estimate(self, node: QueryNode) -> float:
-        if node.node_id in self.later_ids:
-            sibling, other = self.later, self.earlier
-        elif node.node_id in self.earlier_ids:
-            sibling, other = self.earlier, self.later
-        else:
-            return self._trunk_estimate(node)  # Equation 5
-        if node is sibling:
-            return self._sibling_estimate(sibling, other)  # Equation 3
-        return self._deep_branch_estimate(node, sibling, other)  # Equation 4
+    def estimate(self, node_id: int) -> float:
+        branch = self.branch_of(node_id)
+        if branch is None:
+            return self.trunk_estimate(node_id)  # Equation 5
+        sibling, other = branch
+        if node_id == sibling:
+            return self.sibling_estimate(sibling, other)  # Equation 3
+        return self.deep_branch_estimate(node_id, sibling, other)  # Equation 4
 
     # -- Equation 3 -------------------------------------------------------
 
-    def _sibling_estimate(self, sibling: QueryNode, other: QueryNode) -> float:
-        s_order_prime, s_prime = self._order_ratio_parts(sibling, other)
+    def sibling_estimate(self, sibling: int, other: int) -> float:
+        s_order_prime, s_prime = self.ratio_parts(sibling, other)
         if s_prime <= 0.0:
             return 0.0
-        s_q = self._counterpart_estimate(sibling)
+        s_q = self.counterpart_estimate(sibling)
         return s_order_prime * s_q / s_prime
 
     # -- Equation 4 -------------------------------------------------------
 
-    def _deep_branch_estimate(
-        self, node: QueryNode, sibling: QueryNode, other: QueryNode
-    ) -> float:
-        s_order_prime, s_prime = self._order_ratio_parts(sibling, other)
+    def deep_branch_estimate(self, node_id: int, sibling: int, other: int) -> float:
+        s_order_prime, s_prime = self.ratio_parts(sibling, other)
         if s_prime <= 0.0:
             return 0.0
-        s_q_n = self._counterpart_estimate(node)
+        s_q_n = self.counterpart_estimate(node_id)
         return s_q_n * s_order_prime / s_prime
 
     # -- Equation 5 -------------------------------------------------------
 
-    def _trunk_estimate(self, node: QueryNode) -> float:
-        s_q_n = self._counterpart_estimate(node)
-        s_earlier = self._sibling_estimate(self.earlier, self.later)
-        s_later = self._sibling_estimate(self.later, self.earlier)
+    def trunk_estimate(self, node_id: int) -> float:
+        s_q_n = self.counterpart_estimate(node_id)
+        s_earlier = self.sibling_estimate(self.earlier, self.later)
+        s_later = self.sibling_estimate(self.later, self.earlier)
         return min(s_q_n, s_earlier, s_later)
 
     # -- shared machinery ---------------------------------------------------
 
-    def _join(self, query: Query):
-        return path_join(
-            query, self.paths, self.table,
-            fixpoint=self.fixpoint, depth_consistent=self.depth_consistent,
-            tracer=self.tracer, kernel=self.kernel,
-        )
-
-    def _estimate_from_join(self, query: Query, node: QueryNode, join) -> float:
-        return estimate_from_join(
-            query, node, join, self.paths, self.table,
-            self.fixpoint, self.depth_consistent, self.tracer, self.kernel,
-        )
-
-    def _counterpart_estimate(self, node: QueryNode) -> float:
+    def counterpart_estimate(self, node_id: int) -> float:
         """S_Q(node): the no-order estimate on the full counterpart."""
-        if self._counterpart_join is None:
-            self._counterpart_join = self._join(self.counterpart)
-        return self._estimate_from_join(
-            self.counterpart,
-            self.counterpart_map[node.node_id],
-            self._counterpart_join,
-        )
+        return masked_estimate(self.pattern, self.pattern.full, node_id)
 
-    def _order_ratio_parts(
-        self, sibling: QueryNode, other: QueryNode
-    ) -> Tuple[float, float]:
+    def ratio_parts(self, sibling: int, other: int) -> Tuple[float, float]:
         """(S_Q⃗'(sibling), S_Q'(sibling)) for the simplified query.
 
         ``Q'`` keeps the sibling's branch in full and strips the *other*
-        branch to its head node, then drops the order axis.
+        branch to its head node, without the order axis.
         """
-        simplified, mapping = clone_query(
-            self.query,
-            drop_subtree_of={other.node_id},
-            order_to_structural=True,
-            target=sibling,
-        )
-        join = self._join(simplified)
+        pattern = self.pattern
+        mask = pattern.strip_below(pattern.full, other)
+        join = pattern.join(mask)
         if join.empty:
             return 0.0, 0.0
-        sibling_clone = mapping[sibling.node_id]
-        surviving = join.pids(sibling_clone)
-        before = sibling is self.earlier
+        node = pattern.nodes[sibling]
+        other_tag = pattern.nodes[other].tag
+        before = sibling == self.earlier
         s_order_prime = sum(
-            self.orders.order_count(sibling.tag, pid, other.tag, before)
-            for pid in surviving
+            self.orders.order_count(node.tag, pid, other_tag, before)
+            for pid in join.pids(node)
         )
-        s_prime = self._estimate_from_join(simplified, sibling_clone, join)
+        s_prime = masked_estimate(pattern, mask, sibling)
         return s_order_prime, s_prime

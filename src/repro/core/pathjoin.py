@@ -141,13 +141,14 @@ class _SupportCache:
 
 
 class JoinResult:
-    """Surviving (path id → frequency) maps per query node."""
+    """Surviving (path id → frequency) maps per query node, keyed by
+    ``node_id``."""
 
     def __init__(
         self,
         query: Query,
-        surviving: List[Dict[int, float]],
-        depths: Optional[List[Dict[int, Set[int]]]] = None,
+        surviving: Dict[int, Dict[int, float]],
+        depths: Optional[Dict[int, Dict[int, Set[int]]]] = None,
     ):
         self.query = query
         self._surviving = surviving
@@ -170,14 +171,14 @@ class JoinResult:
     @property
     def empty(self) -> bool:
         """True when any node lost all its path ids (negative query)."""
-        return any(not pids for pids in self._surviving)
+        return any(not pids for pids in self._surviving.values())
 
     def survivor_count(self) -> int:
         """Total surviving path ids across all nodes (trace counter)."""
-        return sum(len(pids) for pids in self._surviving)
+        return sum(len(pids) for pids in self._surviving.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counts = [len(pids) for pids in self._surviving]
+        counts = [len(pids) for pids in self._surviving.values()]
         return "<JoinResult pids per node: %s>" % counts
 
 
@@ -201,25 +202,25 @@ def derive_constraints(query: Query) -> List[Tuple[QueryNode, Axis, QueryNode]]:
             else:
                 # Source is itself order-connected: fall back to the nearest
                 # structural ancestor with a descendant constraint.
-                anchor = _structural_anchor(query, parent)
-                if anchor is not None:
-                    constraints.append((anchor, Axis.DESCENDANT, dest))
+                link = structural_link(query, parent)
+                if link is not None:
+                    constraints.append((link[1], Axis.DESCENDANT, dest))
         else:  # scoped foll/pre: dest lives below source's structural parent
-            anchor = _structural_anchor(query, source)
-            if anchor is not None:
-                constraints.append((anchor, Axis.DESCENDANT, dest))
+            link = structural_link(query, source)
+            if link is not None:
+                constraints.append((link[1], Axis.DESCENDANT, dest))
     return constraints
 
 
-def _structural_anchor(query: Query, node: QueryNode) -> Optional[QueryNode]:
-    """Nearest edge-ancestor reached via a structural edge's source."""
+def structural_link(
+    query: Query, node: QueryNode
+) -> Optional[Tuple[QueryAxis, QueryNode]]:
+    """(axis, ancestor) of the nearest structural edge above ``node``,
+    walking up through order edges; ``None`` when there is none."""
     link = query.parent_link(node)
-    while link is not None:
-        axis, parent = link
-        if axis.is_structural:
-            return parent
-        link = query.parent_link(parent)
-    return None
+    while link is not None and not link[0].is_structural:
+        link = query.parent_link(link[1])
+    return link
 
 
 def path_join(
@@ -238,6 +239,10 @@ def path_join(
     :data:`~repro.obs.trace.NULL_TRACER`) accrues a ``join`` aggregate
     span with ``pathid-match`` nested under it; repeated joins inside
     one estimate merge into one span each.
+
+    ``query`` is a :class:`~repro.xpath.ast.Query` or a
+    :class:`~repro.core.transform.MaskedPattern` (a sub-pattern of one
+    compiled pattern); either way the result is keyed by ``node_id``.
 
     ``kernel`` (a :class:`repro.kernel.SynopsisKernel` or ``None``)
     switches the default depth-consistent fixpoint onto the compiled
@@ -258,7 +263,8 @@ def path_join(
             result = _pairwise_join(
                 query, provider, table, fixpoint, max_rounds, tracer, span
             )
-        span.incr("surviving_pids", result.survivor_count())
+        if tracer.enabled:
+            span.incr("surviving_pids", result.survivor_count())
     return result
 
 
@@ -320,21 +326,20 @@ def _depth_join(
     join_span=NULL_SPAN,
 ) -> JoinResult:
     nodes = query.nodes()
-    freqs: List[Dict[int, float]] = []
-    depths: List[Dict[int, Set[int]]] = []
-    dfreqs: List[Optional[Dict[int, Dict[int, float]]]] = []
+    freqs: Dict[int, Dict[int, float]] = {}
+    depths: Dict[int, Dict[int, Set[int]]] = {}
+    dfreqs: Dict[int, Optional[Dict[int, Dict[int, float]]]] = {}
     with tracer.aggregate("pathid-match") as match_span:
         for node in nodes:
-            node_freqs, node_depths, node_dfreqs = _initial_state(
-                provider, table, node.tag
-            )
+            node_id = node.node_id
             # Shared references: the constraint loop replaces (never
             # mutates) these dicts and the per-placement sets, so no
             # defensive copy is needed.
-            freqs.append(node_freqs)
-            depths.append(node_depths)
-            dfreqs.append(node_dfreqs)
-            match_span.incr("pids_matched", len(node_freqs))
+            freqs[node_id], depths[node_id], dfreqs[node_id] = _initial_state(
+                provider, table, node.tag
+            )
+            match_span.incr("pids_matched", len(freqs[node_id]))
+    empty = {node.node_id: {} for node in nodes}
 
     if query.root_axis is QueryAxis.CHILD:
         root_id = query.root.node_id
@@ -362,13 +367,13 @@ def _depth_join(
         _static_restrict(freqs, depths, lower.node_id, maps[2], dfreqs)
         _static_restrict(freqs, depths, upper.node_id, maps[3], dfreqs)
         if not freqs[upper.node_id] or not freqs[lower.node_id]:
-            return JoinResult(query, [{} for _ in nodes], [{} for _ in nodes])
+            return JoinResult(query, empty, empty)
     # Forward + backward sweeps make pruning propagate both ways within
     # one round; per-node version counters let a constraint skip when
     # neither endpoint changed since it last ran.
     indexed = list(zip(constraints, supports))
     schedule = indexed + indexed[::-1] if fixpoint else indexed
-    version = [0] * len(nodes)
+    version = dict.fromkeys(freqs, 0)
     last_seen: List[Tuple[int, int]] = [(-1, -1)] * len(schedule)
     rounds = max_rounds if fixpoint else 1
     for _ in range(rounds):
@@ -389,11 +394,11 @@ def _depth_join(
                 changed = True
             last_seen[index] = (version[uid], version[lid])
             if not freqs[uid] or not freqs[lid]:
-                return JoinResult(query, [{} for _ in nodes], [{} for _ in nodes])
+                return JoinResult(query, empty, empty)
         if not changed:
             break
-    if any(not f for f in freqs):
-        return JoinResult(query, [{} for _ in nodes], [{} for _ in nodes])
+    if any(not f for f in freqs.values()):
+        return JoinResult(query, empty, empty)
     return JoinResult(query, freqs, depths)
 
 
@@ -417,11 +422,11 @@ def _node_freq(
 
 
 def _static_restrict(
-    freqs: List[Dict[int, float]],
-    depths: List[Dict[int, Set[int]]],
+    freqs: Dict[int, Dict[int, float]],
+    depths: Dict[int, Dict[int, Set[int]]],
     node_id: int,
     alive: Dict[int, Set[int]],
-    dfreqs: List[Optional[Dict[int, Dict[int, float]]]],
+    dfreqs: Dict[int, Optional[Dict[int, Dict[int, float]]]],
 ) -> None:
     """Intersect one node's placements with a static feasibility map."""
     current = depths[node_id]
@@ -448,12 +453,12 @@ def _static_restrict(
 
 def _apply_depth_constraint(
     axis: Axis,
-    freqs: List[Dict[int, float]],
-    depths: List[Dict[int, Set[int]]],
+    freqs: Dict[int, Dict[int, float]],
+    depths: Dict[int, Dict[int, Set[int]]],
     upper_id: int,
     lower_id: int,
     support: Tuple[Dict, Dict],
-    dfreqs: List[Optional[Dict[int, Dict[int, float]]]],
+    dfreqs: Dict[int, Optional[Dict[int, Dict[int, float]]]],
 ) -> Tuple[bool, bool]:
     """Prune both sides of one constraint.
 
@@ -543,10 +548,12 @@ def _pairwise_join(
 ) -> JoinResult:
     nodes = query.nodes()
     with tracer.aggregate("pathid-match") as match_span:
-        surviving: List[Dict[int, float]] = [
-            dict(provider.frequency_pairs(node.tag)) for node in nodes
-        ]
-        match_span.incr("pids_matched", sum(len(pids) for pids in surviving))
+        surviving: Dict[int, Dict[int, float]] = {
+            node.node_id: dict(provider.frequency_pairs(node.tag)) for node in nodes
+        }
+        match_span.incr(
+            "pids_matched", sum(len(pids) for pids in surviving.values())
+        )
     if query.root_axis is QueryAxis.CHILD:
         root = query.root
         surviving[root.node_id] = {
@@ -563,7 +570,7 @@ def _pairwise_join(
             upper_pids = surviving[upper.node_id]
             lower_pids = surviving[lower.node_id]
             if not upper_pids or not lower_pids:
-                return JoinResult(query, [{} for _ in nodes])
+                return JoinResult(query, {node.node_id: {} for node in nodes})
             kept_upper = {
                 pu: freq
                 for pu, freq in upper_pids.items()
@@ -586,6 +593,6 @@ def _pairwise_join(
             surviving[lower.node_id] = kept_lower
         if not changed:
             break
-    if any(not pids for pids in surviving):
-        return JoinResult(query, [{} for _ in nodes])
+    if any(not pids for pids in surviving.values()):
+        return JoinResult(query, {node.node_id: {} for node in nodes})
     return JoinResult(query, surviving)

@@ -20,6 +20,12 @@ with no live upper partner, which no surviving upper placement relied
 on.  The arc-consistent fixpoint is unique, so the result equals the
 Section 4 loop's, and frequencies are summed over indexes in provider
 order, so estimates agree with the legacy path bit for bit.
+
+The estimators join sub-patterns of one compiled pattern, named by
+parent-closed node masks (:class:`~repro.core.transform.MaskedPattern`).
+The steps whose lower node is in the mask form a forest again, so a
+masked join is the same two passes over a filtered step list, with
+states indexed by the pattern's node ids.
 """
 
 from __future__ import annotations
@@ -81,6 +87,8 @@ class KernelJoinResult(JoinResult):
         self.query = query
         self._tables = tables
         # None encodes the legacy all-empty result (some node died).
+        # Otherwise indexed by node_id; a masked join leaves the entries
+        # of the nodes outside its mask at their start state, unread.
         self._states = states
         # Per-node OR of the depth masks; the states are frozen once the
         # fixpoint converges, so the fold is computed at most once per
@@ -157,59 +165,90 @@ class KernelJoinResult(JoinResult):
     def survivor_count(self) -> int:
         if self._states is None:
             return 0
-        total = 0
-        for node_id in range(len(self._states)):
-            total += popcount(self._alive_mask(node_id))
-        return total
+        return sum(
+            popcount(self._alive_mask(node.node_id)) for node in self.query.nodes()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._states is None:
             return "<KernelJoinResult empty>"
         counts = [
-            popcount(self._alive_mask(node_id))
-            for node_id in range(len(self._states))
+            popcount(self._alive_mask(node.node_id)) for node in self.query.nodes()
         ]
         return "<KernelJoinResult pids per node: %s>" % counts
 
 
+def _compile(kernel: SynopsisKernel, query: Query, tracer) -> tuple:
+    """``(plan, start states, dead mask)`` of one query over ``kernel``.
+
+    The start states are the tag tables' static placements with the
+    root-``/`` restriction applied; the joins copy them on write, so one
+    list serves every join of the pattern.  ``dead`` has the bit of each
+    node with no placement at all.
+    """
+    plan = build_query_plan(kernel, query, tracer)
+    starts = [list(compiled.init_at) for compiled in plan.node_tables]
+    if query.root_axis is QueryAxis.CHILD:
+        root_id = query.root.node_id
+        root_state = starts[root_id]
+        if root_state:
+            starts[root_id] = [root_state[0]] + [0] * (len(root_state) - 1)
+    dead = 0
+    for node_id, state in enumerate(starts):
+        if not any(state):
+            dead |= 1 << node_id
+    return plan, starts, dead
+
+
 def kernel_join(
     kernel: SynopsisKernel,
-    query: Query,
+    query,
     provider=None,
     tracer=NULL_TRACER,
 ) -> KernelJoinResult:
-    """Depth-consistent fixpoint join on compiled bitsets, in two passes."""
+    """Depth-consistent fixpoint join on compiled bitsets, in two passes.
+
+    ``query`` is a :class:`~repro.xpath.ast.Query` or a
+    :class:`~repro.core.transform.MaskedPattern`.  A masked join keeps
+    the steps whose lower node is in the mask, and resolves its
+    pattern's steps once, on the first join of that pattern.
+    """
     kernel.joins += 1
     with tracer.aggregate("join") as join_span:
-        plan = build_query_plan(kernel, query, tracer)
+        base = getattr(query, "base", None)
+        if base is None:
+            plan, starts, dead = _compile(kernel, query, tracer)
+            steps = plan.steps
+            mask = (1 << len(starts)) - 1
+        else:
+            state = base.kernel_state
+            if state is None or state[0] is not kernel:
+                state = base.kernel_state = (kernel,) + _compile(
+                    kernel, base.view(base.full), tracer
+                )
+            _, plan, starts, dead = state
+            mask = query.mask
+            steps = tuple(step for step in plan.steps if mask >> step[1] & 1)
         tables = plan.node_tables
-        traced = tracer.enabled
-        states: List[List[int]] = []
-        with tracer.aggregate("pathid-match") as match_span:
-            for node, compiled in zip(query.nodes(), tables):
-                if traced and provider is not None:
-                    # Surface the same p-histogram lookup traffic a
-                    # traced legacy join would (the tracing provider
-                    # counts cells/buckets as a side effect).
-                    provider.frequency_pairs(node.tag)
-                states.append(list(compiled.init_at))
-                match_span.incr("pids_matched", compiled.alive_count)
-
-        if query.root_axis is QueryAxis.CHILD:
-            root_id = query.root.node_id
-            root_state = states[root_id]
-            if root_state:
-                states[root_id] = [root_state[0]] + [0] * (len(root_state) - 1)
-
-        steps = plan.steps
+        if tracer.enabled:
+            with tracer.aggregate("pathid-match") as match_span:
+                for node in query.nodes():
+                    if provider is not None:
+                        # Surface the same p-histogram lookup traffic a
+                        # traced legacy join would (the tracing provider
+                        # counts cells/buckets as a side effect).
+                        provider.frequency_pairs(node.tag)
+                    match_span.incr(
+                        "pids_matched", tables[node.node_id].alive_count
+                    )
+        states = list(starts)
         join_span.incr("rounds")
         with tracer.aggregate("bitset_join") as bitset_span:
             bitset_span.incr("constraints", len(steps))
-            empty = _two_pass(states, steps)
-        if not empty:
-            empty = any(not any(state) for state in states)
+            empty = bool(dead & mask) or _two_pass(states, steps)
         result = KernelJoinResult(query, tables, None if empty else states)
-        join_span.incr("surviving_pids", result.survivor_count())
+        if tracer.enabled:
+            join_span.incr("surviving_pids", result.survivor_count())
     return result
 
 

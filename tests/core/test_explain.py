@@ -73,3 +73,47 @@ class TestReportShape:
         assert report.target_tag == "B"
         assert report.query_text == "//A/B"
         assert report.variants == []
+
+
+class TestMultiEdge:
+    """Several sibling-order axes: explain reports the generalized
+    Equation 5 minimum, one child report per edge."""
+
+    def test_probe_matches_estimate(self):
+        from repro.datasets import generate_ssplays
+
+        system = EstimationSystem.build(generate_ssplays(scale=0.1, seed=3))
+        text = "//SCENE[/TITLE/folls::$SPEECH/folls::STAGEDIR]"
+        report = explain(system, text)
+        assert report.estimate == system.estimate(text) == 137.0
+        assert report.rule == "equation-5-min"
+        assert [variant.rule for variant in report.variants] == ["equation-3"] * 2
+        assert report.estimate == min(v.estimate for v in report.variants)
+
+    def test_every_generated_multi_edge_query(self, ssplays_small, dblp_small, xmark_small):
+        from tests.core.multi_edge import multi_edge_order_queries
+
+        for document in (ssplays_small, dblp_small, xmark_small):
+            system = EstimationSystem.build(document)
+            texts = multi_edge_order_queries(document)
+            assert texts
+            mismatches = [
+                (text, explain(system, text).estimate, system.estimate(text))
+                for text in texts
+                if explain(system, text).estimate != system.estimate(text)
+            ]
+            assert mismatches == []
+
+    def test_generated_workloads_match(self, ssplays_small, dblp_small, xmark_small):
+        from repro.workload import WorkloadGenerator
+
+        for document in (ssplays_small, dblp_small, xmark_small):
+            system = EstimationSystem.build(document)
+            generator = WorkloadGenerator(document, seed=13)
+            workload = generator.full_workload(40, 40, 60)
+            items = (
+                workload.simple + workload.branch + workload.order_branch
+                + workload.order_trunk + generator.scoped_order_queries(40)
+            )
+            for item in items:
+                assert explain(system, item.text).estimate == system.estimate(item.text), item.text

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.noorder import (
-    branching_ancestor,
-    estimate_no_order,
-    is_trunk_target,
-    prune_to_spine,
-)
+from repro.core.noorder import estimate_no_order
 from repro.core.providers import ExactPathStats
+from repro.core.transform import CompiledPattern
 from repro.stats import collect_pathid_frequencies
 from repro.xpath import parse_query
 
@@ -19,45 +15,70 @@ def env(figure1_labeled):
     return ExactPathStats(table), figure1_labeled.encoding_table
 
 
+def _compiled(text):
+    query = parse_query(text)
+    return query, CompiledPattern(query, None, None)
+
+
+def _is_trunk(pattern, node):
+    return pattern.branching_ancestor(pattern.full, node.node_id) < 0
+
+
+def _tags(pattern, mask):
+    return {node.tag for node in pattern.nodes if mask >> node.node_id & 1}
+
+
 class TestTrunkDetection:
     def test_simple_chain_is_all_trunk(self):
-        query = parse_query("//A/B/C")
+        query, pattern = _compiled("//A/B/C")
         for node in query.nodes():
-            assert is_trunk_target(query, node)
+            assert _is_trunk(pattern, node)
 
     def test_branch_parts(self):
-        query = parse_query("//A[/B/C]/D/E")
-        assert is_trunk_target(query, query.root)
-        assert not is_trunk_target(query, query.find("B"))
-        assert not is_trunk_target(query, query.find("C"))
+        query, pattern = _compiled("//A[/B/C]/D/E")
+        assert _is_trunk(pattern, query.root)
+        assert not _is_trunk(pattern, query.find("B"))
+        assert not _is_trunk(pattern, query.find("C"))
         # D and E hang below the branching node A -> branch part too.
-        assert not is_trunk_target(query, query.find("D"))
+        assert not _is_trunk(pattern, query.find("D"))
 
     def test_branching_ancestor_is_deepest(self):
-        query = parse_query("//A[/X]/B[/Y]/C")
-        assert branching_ancestor(query, query.find("C")) is query.find("B")
-        assert branching_ancestor(query, query.find("X")) is query.root
+        query, pattern = _compiled("//A[/X]/B[/Y]/C")
+        full = pattern.full
+        assert pattern.branching_ancestor(full, query.find("C").node_id) == query.find("B").node_id
+        assert pattern.branching_ancestor(full, query.find("X").node_id) == query.root.node_id
 
     def test_branches_below_target_do_not_matter(self):
-        query = parse_query("//A/B[/C][/D]")
-        assert is_trunk_target(query, query.find("B"))
+        query, pattern = _compiled("//A/B[/C][/D]")
+        assert _is_trunk(pattern, query.find("B"))
 
 
 class TestPruneToSpine:
+    """Equation 2's ``Q'`` as a spine-prune mask."""
+
     def test_drops_other_branches(self):
-        query = parse_query("//A[/C/F]/B/D")
-        pruned = prune_to_spine(query, query.find("B"))
-        assert pruned.to_string() == "//A/$B/D"
+        query, pattern = _compiled("//A[/C/F]/B/D")
+        pruned = pattern.spine_prune(pattern.full, query.find("B").node_id)
+        assert _tags(pattern, pruned) == {"A", "B", "D"}
 
     def test_keeps_target_subtree(self):
-        query = parse_query("//A[/X]/B[/C]/D")
-        pruned = prune_to_spine(query, query.find("B"))
-        assert pruned.to_string() == "//A/$B[/C]/D"
+        query, pattern = _compiled("//A[/X]/B[/C]/D")
+        pruned = pattern.spine_prune(pattern.full, query.find("B").node_id)
+        assert _tags(pattern, pruned) == {"A", "B", "C", "D"}
 
     def test_deep_branch_target(self):
-        query = parse_query("//A[/C[/F]/E]/B")
-        pruned = prune_to_spine(query, query.find("E"))
-        assert pruned.to_string() == "//A[/C/$E]"
+        query, pattern = _compiled("//A[/C[/F]/E]/B")
+        pruned = pattern.spine_prune(pattern.full, query.find("E").node_id)
+        assert _tags(pattern, pruned) == {"A", "C", "E"}
+
+    def test_nested_prune_stays_inside_its_mask(self):
+        # The recursive Equation 2 prunes a mask that is already a
+        # sub-pattern; the result never regains dropped nodes.
+        query, pattern = _compiled("//A[/X]/B[/Y]/C")
+        outer = pattern.spine_prune(pattern.full, query.find("C").node_id)
+        assert _tags(pattern, outer) == {"A", "B", "C"}
+        inner = pattern.spine_prune(outer, query.find("B").node_id)
+        assert _tags(pattern, inner) == {"A", "B", "C"}
 
 
 class TestEstimates:

@@ -14,14 +14,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.axis_rewrite import rewrite_scoped_order_query
-from repro.core.noorder import estimate_no_order
+from repro.core.noorder import estimate_no_order, masked_estimate
 from repro.core.options import EstimateOptions
-from repro.core.order import estimate_with_order, sibling_order_edges
+from repro.core.order import estimate_with_order
 from repro.core.pathjoin import path_join
 from repro.core.system import ROUTE_ORDER, ROUTE_SCOPED
-from repro.core.transform import clone_query
+from repro.core.transform import CompiledPattern, MaskedPattern, clone_query
 from repro.kernel.join import build_query_plan
 from repro.workload import WorkloadGenerator
+from repro.xpath import parse_query
+from repro.xpath.ast import Edge, Query, QueryNode
+from tests.core.multi_edge import multi_edge_order_queries
 
 
 def _all_items(workload):
@@ -47,25 +50,17 @@ def scoped_items(ssplays_small, dblp_small, xmark_small):
 
 
 def _order_join_inputs(query):
-    """An order query, its order-free counterpart and, per sibling-order
-    edge, the two ``drop_subtree_of`` simplifications of Equations 3-4."""
+    """An order query and its order-free counterpart."""
     yield query
     yield clone_query(query, order_to_structural=True)[0]
-    for _, source, dest in sibling_order_edges(query):
-        for sibling, other in ((source, dest), (dest, source)):
-            yield clone_query(
-                query,
-                drop_subtree_of={other.node_id},
-                order_to_structural=True,
-                target=sibling,
-            )[0]
 
 
 def _join_inputs(system, workload, scoped):
-    """Every join shape an estimate reaches: order-free queries, raw
-    order and scoped queries (constraints anchored through
-    ``_structural_anchor``), their counterparts and simplifications, and
-    the sibling-order rewrites of the scoped queries."""
+    """Every whole query a join reads: order-free queries, raw order and
+    scoped queries (constraints anchored through ``structural_link``),
+    their counterparts and the sibling-order rewrites of the scoped
+    queries.  The sub-patterns the estimators join are node masks,
+    covered by :class:`TestMaskEquivalence`."""
     yield from (item.query for item in workload.no_order())
     for item in workload.order_branch + workload.order_trunk:
         yield from _order_join_inputs(item.query)
@@ -213,3 +208,159 @@ class TestHistogramProviders:
         kernel = [system.estimate(item.query) for item in items]
         assert legacy == kernel
         assert system.kernel().stats()["fallbacks"] == 0
+
+
+def _materialize(pattern, mask):
+    """The sub-pattern ``mask`` as a fresh :class:`Query` (copies of the
+    masked nodes), with the map from pattern node ids to the copies."""
+    copies = {
+        node.node_id: QueryNode(node.tag)
+        for node in pattern.nodes
+        if mask >> node.node_id & 1
+    }
+    for node_id, copy in copies.items():
+        parent = pattern.parents[node_id]
+        if parent >= 0:
+            copies[parent].edges.append(Edge(pattern.axes[node_id], copy, True))
+    return Query(copies[0], pattern.query.root_axis), copies
+
+
+def _same_counterpart(pattern):
+    """Does ``pattern`` link every node as :func:`clone_query`'s
+    order-free copy of its query does?"""
+    clone, mapping = clone_query(pattern.query, order_to_structural=True)
+    for node in pattern.nodes:
+        link = clone.parent_link(mapping[node.node_id])
+        parent = pattern.parents[node.node_id]
+        expected = None if parent < 0 else (pattern.axes[node.node_id], mapping[parent])
+        if link != expected:
+            return False
+    return True
+
+
+def _mask_shape(pattern, mask):
+    """Which estimator step builds ``mask``: the full pattern, the
+    Equations 3-4 stripped branch, or an Equation 2 spine prune of
+    either."""
+    full = pattern.full
+    if mask == full:
+        return "full"
+    ids = range(len(pattern.nodes))
+    strips = sorted({pattern.strip_below(full, i) for i in ids} - {full})
+    if mask in strips:
+        return "strip"
+    for outer, shape in [(full, "spine")] + [(m, "spine-of-strip") for m in strips]:
+        if any(pattern.spine_prune(outer, i) == mask for i in ids):
+            return shape
+    return "other"
+
+
+def _estimator_masks(monkeypatch, system, queries):
+    """What the kernel-served estimates of ``queries`` compute on masks:
+    the distinct ``(pattern, mask)`` joins and the distinct
+    ``(pattern, mask, node_id)`` estimates, in first-use order."""
+    import repro.core.noorder as noorder
+    import repro.core.order as order
+
+    joins, estimates = {}, {}
+    join, estimate = CompiledPattern.join, noorder.masked_estimate
+
+    def recording_join(pattern, mask):
+        joins.setdefault((id(pattern), mask), (pattern, mask))
+        return join(pattern, mask)
+
+    def recording_estimate(pattern, mask, node_id):
+        estimates.setdefault((id(pattern), mask, node_id), (pattern, mask, node_id))
+        return estimate(pattern, mask, node_id)
+
+    monkeypatch.setattr(CompiledPattern, "join", recording_join)
+    monkeypatch.setattr(noorder, "masked_estimate", recording_estimate)
+    monkeypatch.setattr(order, "masked_estimate", recording_estimate)
+    try:
+        for query in queries:
+            _reference_estimate(system, query, kernel=system.kernel())
+    finally:
+        monkeypatch.undo()
+    return list(joins.values()), list(estimates.values())
+
+
+class TestMaskEquivalence:
+    """Each mask the estimators build, joined on the kernel, against the
+    Section 4 join of the same sub-pattern written out as a query."""
+
+    def test_every_mask_shape_matches_section_4(self, kernel_envs, scoped_items, monkeypatch):
+        seen = set()
+        for name, system, workload in kernel_envs:
+            provider, table = system.path_provider, system.encoding_table
+            document_queries = (
+                [item.query for item in _all_items(workload) + scoped_items[name]]
+                + [parse_query(text) for text in _multi_edge_texts(system)]
+                + _nested_branch_probes(workload.order_branch + workload.order_trunk)
+            )
+            masks, estimates = _estimator_masks(monkeypatch, system, document_queries)
+            shapes = {}
+            for pattern, mask in masks:
+                if mask == pattern.full:
+                    assert _same_counterpart(pattern), pattern.query.to_string()
+                shape = _mask_shape(pattern, mask)
+                shapes[shape] = shapes.get(shape, 0) + 1
+                materialized, copies = _materialize(pattern, mask)
+                legacy = path_join(materialized, provider, table)
+                view = MaskedPattern(pattern, mask)
+                compiled = path_join(view, provider, table, kernel=system.kernel())
+                text = "%s (mask of %s)" % (materialized.to_string(), pattern.query.to_string())
+                assert compiled.empty == legacy.empty, text
+                for node in view.nodes():
+                    copy = copies[node.node_id]
+                    lhs, rhs = legacy.pids(copy), compiled.pids(node)
+                    assert list(rhs.items()) == list(lhs.items()), text
+                    assert compiled.depths(node) == legacy.depths(copy), text
+                    assert compiled.frequency(node) == legacy.frequency(copy), text
+            for pattern, mask, node_id in estimates:
+                materialized, copies = _materialize(pattern, mask)
+                assert masked_estimate(pattern, mask, node_id) == estimate_no_order(
+                    materialized, provider, table, target=copies[node_id]
+                ), (materialized.to_string(), pattern.nodes[node_id].tag)
+            assert "other" not in shapes, (name, shapes)
+            assert {"full", "strip", "spine"} <= set(shapes), (name, shapes)
+            seen.update(shapes)
+        # The recursion of Equation 2 inside a stripped Q' needs a
+        # branching ancestor above the sibling pair (the nested probes).
+        assert "spine-of-strip" in seen
+
+    def test_multi_edge_estimates_share_one_pattern(self, kernel_envs, monkeypatch):
+        """All per-edge relaxations of a multi-edge query join masks of
+        one compiled counterpart."""
+        name, system, workload = kernel_envs[0]
+        for text in _multi_edge_texts(system):
+            masks, _ = _estimator_masks(monkeypatch, system, [parse_query(text)])
+            assert len({id(pattern) for pattern, _ in masks}) == 1, text
+
+    def test_scoped_variants_get_one_pattern_each(self, kernel_envs, scoped_items, monkeypatch):
+        name, system, workload = kernel_envs[0]
+        path, table = system.path_provider, system.encoding_table
+        for item in scoped_items[name][:20]:
+            variants = rewrite_scoped_order_query(item.query, path, table)
+            masks, _ = _estimator_masks(monkeypatch, system, [item.query])
+            assert len({id(pattern) for pattern, _ in masks}) == len(variants), item.text
+
+
+def _nested_branch_probes(items):
+    """Order queries with a copy of their second trunk step hung off
+    the root as a predicate: every sibling branch below then has one
+    more branching ancestor, so Equation 2 recurses inside the
+    Equations 3-4 ``Q'`` (a spine prune of a stripped mask)."""
+    probes = []
+    for item in items:
+        query = parse_query(item.text)
+        root = query.root
+        step = root.inline_edge()
+        if step is None or not step.axis.is_structural:
+            continue
+        root.edges.insert(0, Edge(step.axis, QueryNode(step.node.tag), True))
+        probes.append(Query(root, query.root_axis, target=query.target))
+    return probes
+
+
+def _multi_edge_texts(system):
+    return multi_edge_order_queries(system.labeled.document)
