@@ -319,9 +319,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         # Graceful: shed new work, let in-flight estimates finish.
-        server.service.gate.close()
-        server.service.gate.drain(config.drain_timeout_s)
-        server.httpd.server_close()
+        server.close(config.drain_timeout_s)
     return 0
 
 
@@ -594,6 +592,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 def _cmd_router(args: argparse.Namespace) -> int:
     """``repro router``: the scatter-gather front over N backends."""
     from repro.cluster.router import ClusterRouter, RouterConfig, RouterServer
+    from repro.service.config import DEFAULT_READ_DEADLINE_S
 
     config = RouterConfig(
         host=args.host,
@@ -604,7 +603,7 @@ def _cmd_router(args: argparse.Namespace) -> int:
         scatter_min=args.scatter_min,
     )
     router = ClusterRouter(args.backend, config=config)
-    server = RouterServer(router)
+    server = RouterServer(router, read_deadline_s=DEFAULT_READ_DEADLINE_S)
     print(
         "routing %d backend(s) [%s] on http://%s:%d (replication %d)"
         % (
@@ -621,8 +620,7 @@ def _cmd_router(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.httpd.server_close()
-        router.close()
+        server.close()  # closes the router's backend connections too
     return 0
 
 

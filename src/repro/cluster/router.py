@@ -49,17 +49,16 @@ router owns placement and failure handling so clients stay dumb:
 Everything is stdlib: the router talks to backends with pooled
 :class:`~repro.service.client.EndpointClient` instances (keep-alive
 connections are not thread-safe, so a lease/return stack hands each
-in-flight request its own client) and serves with the same
-``ThreadingHTTPServer`` pattern as the estimation service.
+in-flight request its own client) and serves through the estimation
+service's own HTTP front (:mod:`repro.service.front`): the same body
+reader, read deadline, error mapping and lifecycle.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
@@ -67,7 +66,7 @@ from repro.errors import ReliabilityError
 from repro.reliability.breaker import CircuitBreaker
 from repro.service.client import EndpointClient, ServiceError
 from repro.service.metrics import ServiceMetrics
-from repro.service.server import RequestError, error_body
+from repro.service.front import Front, RequestError, Route, error_body
 
 __all__ = [
     "ClusterError",
@@ -568,10 +567,7 @@ class ClusterRouter:
                     if first_client_error is None:
                         first_client_error = error
                 outcomes.append(
-                    {
-                        "backend": backend.address,
-                        "error": {"kind": error.kind, "message": error.message},
-                    }
+                    {"backend": backend.address, **error_body(error.kind, error.message)}
                 )
                 continue
             backend.breaker.record_success()
@@ -612,9 +608,7 @@ class ClusterRouter:
             try:
                 replies[address] = backend.call(method, path)
             except ServiceError as error:
-                replies[address] = {
-                    "error": {"kind": error.kind, "message": error.message}
-                }
+                replies[address] = error_body(error.kind, error.message)
         return replies
 
     def healthz(self) -> Dict[str, Any]:
@@ -678,91 +672,28 @@ class ClusterRouter:
             backend.close()
 
 
-def _make_handler(router: ClusterRouter) -> type:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-cluster-router"
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
+def _routes(router: ClusterRouter) -> Dict[Tuple[str, str], Route]:
+    def estimate(request) -> Any:
+        payload = request.read_json()
+        # Propagate the QoS tier into the body so it rides through to
+        # every backend (and scatter chunk).
+        if request.tier and isinstance(payload, dict) and "tier" not in payload:
+            payload["tier"] = request.tier
+        return 200, router.handle_estimate(payload), None
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass
-
-        def _reply(
-            self,
-            status: int,
-            body: Dict[str, Any],
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            data = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _read_json(self) -> Any:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                raise RequestError(400, "empty request body")
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise RequestError(400, "invalid JSON body: %s" % error)
-
-        def do_GET(self) -> None:
-            try:
-                if self.path == "/healthz":
-                    self._reply(200, router.healthz())
-                elif self.path == "/synopses":
-                    self._reply(200, router.synopses())
-                elif self.path == "/cluster":
-                    self._reply(200, router.cluster_document())
-                elif self.path == "/metrics":
-                    self._reply(200, router.metrics_document())
-                else:
-                    self._reply(
-                        404, error_body("not_found", "no such endpoint %r" % self.path)
-                    )
-            except RequestError as error:
-                self._reply(error.status, error_body(error.kind, str(error)))
-            except Exception as error:  # pragma: no cover - defensive
-                self._reply(500, error_body("internal", "internal error: %s" % error))
-
-        def do_POST(self) -> None:
-            try:
-                if self.path == "/estimate":
-                    payload = self._read_json()
-                    # Propagate the QoS tier into the body so it rides
-                    # through to every backend (and scatter chunk).
-                    tier = self.headers.get("X-Repro-Tier")
-                    if tier and isinstance(payload, dict) and "tier" not in payload:
-                        payload["tier"] = tier
-                    self._reply(200, router.handle_estimate(payload))
-                elif self.path == "/delta":
-                    self._reply(200, router.handle_delta(self._read_json()))
-                else:
-                    self._reply(
-                        404, error_body("not_found", "no such endpoint %r" % self.path)
-                    )
-            except RequestError as error:
-                headers = (
-                    {"Retry-After": "%g" % error.retry_after_s}
-                    if getattr(error, "retry_after_s", None) is not None
-                    else None
-                )
-                self._reply(
-                    error.status, error_body(error.kind, str(error)), headers=headers
-                )
-            except Exception as error:  # pragma: no cover - defensive
-                self._reply(500, error_body("internal", "internal error: %s" % error))
-
-    return Handler
+    return {
+        ("GET", "/healthz"): lambda request: (200, router.healthz(), None),
+        ("GET", "/synopses"): lambda request: (200, router.synopses(), None),
+        ("GET", "/cluster"): lambda request: (200, router.cluster_document(), None),
+        ("GET", "/metrics"): lambda request: (200, router.metrics_document(), None),
+        ("POST", "/estimate"): estimate,
+        ("POST", "/delta"): lambda request: (
+            200, router.handle_delta(request.read_json()), None
+        ),
+    }
 
 
-class RouterServer:
+class RouterServer(Front):
     """A running (threaded) HTTP front around a :class:`ClusterRouter`.
 
     Same lifecycle as :class:`~repro.service.server.ServiceServer`:
@@ -777,42 +708,16 @@ class RouterServer:
         router: ClusterRouter,
         host: Optional[str] = None,
         port: Optional[int] = None,
+        read_deadline_s: Optional[float] = None,
     ):
         self.router = router
-        host = host if host is not None else router.config.host
-        port = port if port is not None else router.config.port
-        self.httpd = ThreadingHTTPServer((host, port), _make_handler(router))
-        self.httpd.daemon_threads = True
-        self.host, self.port = (
-            self.httpd.server_address[0],
-            self.httpd.server_address[1],
+        super().__init__(
+            _routes(router),
+            host if host is not None else router.config.host,
+            port if port is not None else router.config.port,
+            name="repro-cluster-router",
+            read_deadline_s=read_deadline_s,
         )
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def address(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
-
-    def start(self) -> "RouterServer":
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
-
-    def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
+    def on_close(self, drain_timeout_s: float) -> None:
         self.router.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "RouterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

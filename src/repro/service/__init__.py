@@ -143,7 +143,12 @@ def serve_pool(
     pool = WorkerPool(snapshot_dir, workers=cfg.workers, config=cfg)
     control = None
     if cfg.control_port is not None:
-        control = ControlServer(pool, host=cfg.host, port=cfg.control_port)
+        control = ControlServer(
+            pool,
+            host=cfg.host,
+            port=cfg.control_port,
+            read_deadline_s=cfg.read_deadline_s,
+        )
     return pool, control
 
 

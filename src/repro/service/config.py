@@ -16,6 +16,10 @@ from typing import Dict, Optional
 
 DEFAULT_PORT = 8750
 
+#: Per-connection socket read deadline of the serving daemons, seconds
+#: (``repro serve``, its pool workers and control port, ``repro router``).
+DEFAULT_READ_DEADLINE_S = 30.0
+
 #: Collector thresholds that the serving daemons (``repro serve`` and
 #: each pool worker) set once, after their registry scan.  A cold
 #: estimate's working state outlives the interpreter's 700-allocation
@@ -68,7 +72,7 @@ class ServerConfig:
     #: Socket read deadline per connection, seconds: a client that trickles
     #: its request (slow-loris) or idles past this is disconnected instead
     #: of pinning a handler thread.  ``None`` disables.
-    read_deadline_s: Optional[float] = 30.0
+    read_deadline_s: Optional[float] = DEFAULT_READ_DEADLINE_S
     # Worker pool ----------------------------------------------------
     #: Pre-forked ``SO_REUSEPORT`` worker processes (1 = classic
     #: single-process serving; N > 1 needs fork + SO_REUSEPORT).

@@ -46,10 +46,12 @@ the server's deterministic sample rate — re-executes the estimate under
 a :class:`~repro.obs.trace.Tracer` and returns the span tree inside the
 versioned ``result`` object (``result.trace``).
 
-The server is :class:`http.server.ThreadingHTTPServer` — one thread per
-connection, stdlib only.  Estimation runs outside the registry lock; the
-plan cache and metrics are thread-safe, so concurrent clients see exactly
-the numbers a direct :meth:`EstimationSystem.estimate` would produce.
+The server is a route table on :class:`~repro.service.front.Front` (the
+one HTTP front the router and the pool control server share) — one
+thread per connection, stdlib only.  Estimation runs outside the
+registry lock; the plan cache and metrics are thread-safe, so concurrent
+clients see exactly the numbers a direct
+:meth:`EstimationSystem.estimate` would produce.
 
 Reliability: every ``POST /estimate`` passes the service's admission
 gate — beyond the in-flight budget the request is shed with ``503``
@@ -74,23 +76,18 @@ logging stop first, then brownout-sheddable tiers are refused outright;
 ``/healthz``, ``/metrics`` and estimate replies all advertise the
 state.
 
-Connection hygiene: ``read_deadline_s`` puts a socket timeout on every
-connection, so a slow-loris client trickling its request bytes is cut
-off (``408`` with kind ``read_timeout`` mid-body, silent close on the
-request line) instead of pinning a handler thread.
+Connection hygiene (the read deadline's ``408 read_timeout``, typed
+``400`` for a malformed ``Content-Length``) is the front's: see
+:mod:`repro.service.front`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import socket
 import threading
 import time
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from repro.core.options import EstimateOptions
 from repro.core.result import EstimateResult
@@ -108,12 +105,11 @@ from repro.reliability.shedding import (
     TieredAdmissionGate,
 )
 from repro.service.config import DEFAULT_PORT
+from repro.service.front import Front, RequestError, Route, error_body
 from repro.service.metrics import ServiceMetrics, gc_document
 from repro.service.plancache import CompiledPlan, PlanCache
 from repro.service.registry import SynopsisRegistry, UnknownSynopsisError
 from repro.xpath.parser import XPathSyntaxError
-
-PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Largest match list returned on the wire by an ``"execute": true``
 #: request; ``match_count`` is always the full count and
@@ -122,43 +118,6 @@ MAX_WIRE_MATCHES = 1000
 
 # Served estimates always run with default estimate options.
 _SERVICE_OPTIONS = EstimateOptions()
-
-
-class RequestError(ValueError):
-    """A client-side request problem, mapped to an HTTP status.
-
-    ``kind`` is the stable machine-readable slug carried in the response's
-    ``error.kind`` field (the human-readable message may change between
-    releases; the kind will not).
-
-    ``retry_after_s``, when set, is emitted as a ``Retry-After`` header
-    (503/429-style responses that the client should back off from).
-    """
-
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        kind: str = "bad_request",
-        retry_after_s: Optional[float] = None,
-    ):
-        super().__init__(message)
-        self.status = status
-        self.kind = kind
-        self.retry_after_s = retry_after_s
-
-
-def error_body(kind: str, message: str, **extra: Any) -> Dict[str, Any]:
-    """The wire shape of every error response: ``{"error": {kind, message}}``.
-
-    ``extra`` keys (``tier``, ``reason``, ...) are additive fields inside
-    the error object; ``None`` values are dropped.
-    """
-    error: Dict[str, Any] = {"kind": kind, "message": message}
-    for key, value in extra.items():
-        if value is not None:
-            error[key] = value
-    return {"error": error}
 
 
 def _trace_used_kernel(trace: Optional[Dict[str, Any]]) -> bool:
@@ -1000,189 +959,67 @@ class EstimationService:
         return self.slow_log.snapshot(limit)
 
 
-def _make_handler(
-    service: EstimationService, read_deadline_s: Optional[float] = None
-) -> type:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-estimation-service"
-        protocol_version = "HTTP/1.1"
-        # Sub-millisecond replies must not sit behind Nagle waiting for
-        # the client's delayed ACK.
-        disable_nagle_algorithm = True
-        # Per-connection socket deadline (socketserver applies it via
-        # settimeout): a slow-loris client stalling on the request line
-        # is silently disconnected by handle_one_request's own
-        # socket.timeout handling; stalls inside the body are mapped to
-        # 408 in _read_json below.
-        timeout = read_deadline_s
+def _routes(service: EstimationService) -> Dict[Tuple[str, str], Route]:
+    def metrics(request) -> Any:
+        if request.params.get("format", [""])[0] == "prom":
+            return 200, service.metrics_prom(), None
+        return 200, service.metrics_document(), None
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass  # request logging would swamp pytest output
-
-        # -- plumbing --------------------------------------------------
-
-        def _reply(
-            self,
-            status: int,
-            body: Dict[str, Any],
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            data = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _reply_text(self, status: int, text: str, content_type: str) -> None:
-            data = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _read_json(self) -> Any:
-            length = int(self.headers.get("Content-Length", 0) or 0)
+    def slowlog(request) -> Any:
+        limit: Optional[int] = None
+        if "limit" in request.params:
             try:
-                raw = self.rfile.read(length) if length else b""
-            except socket.timeout:
-                # The client trickled its body past the read deadline:
-                # reply 408 and drop the connection (the unread bytes
-                # make it unusable for keep-alive anyway).
-                self.close_connection = True
-                raise RequestError(
-                    408,
-                    "timed out reading request body (read deadline %gs)"
-                    % (read_deadline_s or 0.0),
-                    "read_timeout",
-                )
-            if not raw:
-                raise RequestError(400, "empty request body")
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise RequestError(400, "invalid JSON body: %s" % error)
+                limit = int(request.params["limit"][0])
+            except ValueError:
+                raise RequestError(400, "'limit' must be an integer")
+        return 200, service.slowlog_document(limit), None
 
-        def _drain_body(self) -> None:
-            """Consume the unread request body so a keep-alive client can
-            reuse the connection (leftover bytes would be misparsed as
-            the next request line)."""
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if not length:
-                return
-            try:
-                self.rfile.read(length)
-            except socket.timeout:
-                self.close_connection = True
+    def estimate(request) -> Any:
+        # Admission first: an overloaded (or draining) server sheds with
+        # 503 + Retry-After instead of queueing the request behind work
+        # it cannot finish in time.  With a tiered gate, an X-Repro-Tier
+        # header selects the lane before the body is read (a shed costs
+        # no parsing); without one the body's "tier" field / request
+        # shape decides, so the body is read first.  The front drains a
+        # body left unread.
+        payload: Any = None
+        if service.tiered and not request.tier:
+            payload = request.read_json()
+        tier = service.select_tier(payload, header=request.tier)
+        try:
+            service.admit(tier)
+        except OverloadedError as error:
+            service.metrics.incr("shed_total")
+            if error.reason == "brownout":
+                service.metrics.incr("brownout_shed_total")
+            return (
+                503,
+                error_body(error.kind, str(error), tier=error.tier, reason=error.reason),
+                {"Retry-After": "%g" % error.retry_after_s},
+            )
+        try:
+            if payload is None:
+                payload = request.read_json()
+            return 200, service.handle_estimate(payload, tier=tier), None
+        finally:
+            service.release(tier)
 
-        # -- endpoints -------------------------------------------------
-
-        def do_GET(self) -> None:
-            try:
-                parts = urlsplit(self.path)
-                params = parse_qs(parts.query)
-                if parts.path == "/healthz":
-                    self._reply(200, service.healthz())
-                elif parts.path == "/synopses":
-                    self._reply(200, service.synopses())
-                elif parts.path == "/metrics":
-                    if params.get("format", [""])[0] == "prom":
-                        self._reply_text(200, service.metrics_prom(), PROM_CONTENT_TYPE)
-                    else:
-                        self._reply(200, service.metrics_document())
-                elif parts.path == "/debug/slowlog":
-                    limit: Optional[int] = None
-                    if "limit" in params:
-                        try:
-                            limit = int(params["limit"][0])
-                        except ValueError:
-                            raise RequestError(400, "'limit' must be an integer")
-                    self._reply(200, service.slowlog_document(limit))
-                else:
-                    self._reply(
-                        404, error_body("not_found", "no such endpoint %r" % self.path)
-                    )
-            except RequestError as error:
-                self._reply(error.status, error_body(error.kind, str(error)))
-            except Exception as error:  # pragma: no cover - defensive
-                self._reply(500, error_body("internal", "internal error: %s" % error))
-
-        def do_POST(self) -> None:
-            try:
-                if self.path == "/delta":
-                    # Delta uploads mutate the registry, not the estimate
-                    # path: they bypass the admission gate (registry's own
-                    # lock serialises them) so an overloaded estimator can
-                    # still be caught up.
-                    self._reply(200, service.handle_delta(self._read_json()))
-                    return
-                if self.path != "/estimate":
-                    self._reply(
-                        404, error_body("not_found", "no such endpoint %r" % self.path)
-                    )
-                    return
-                # Admission first: an overloaded (or draining) server
-                # sheds with 503 + Retry-After instead of queueing the
-                # request behind work it cannot finish in time.  With a
-                # tiered gate, an X-Repro-Tier header selects the lane
-                # before the body is read (a shed costs no parsing);
-                # without one the body's "tier" field / request shape
-                # decides, so the body is read first.
-                payload: Any = None
-                tier: Optional[str] = None
-                header_tier = self.headers.get("X-Repro-Tier")
-                if service.tiered and not header_tier:
-                    payload = self._read_json()
-                try:
-                    tier = service.select_tier(payload, header=header_tier)
-                except RequestError:
-                    if payload is None:
-                        self._drain_body()
-                    raise
-                try:
-                    service.admit(tier)
-                except OverloadedError as error:
-                    if payload is None:
-                        self._drain_body()
-                    service.metrics.incr("shed_total")
-                    if error.reason == "brownout":
-                        service.metrics.incr("brownout_shed_total")
-                    self._reply(
-                        503,
-                        error_body(
-                            error.kind,
-                            str(error),
-                            tier=error.tier,
-                            reason=error.reason,
-                        ),
-                        headers={"Retry-After": "%g" % error.retry_after_s},
-                    )
-                    return
-                try:
-                    if payload is None:
-                        payload = self._read_json()
-                    self._reply(200, service.handle_estimate(payload, tier=tier))
-                finally:
-                    service.release(tier)
-            except RequestError as error:
-                headers = (
-                    {"Retry-After": "%g" % error.retry_after_s}
-                    if error.retry_after_s is not None
-                    else None
-                )
-                self._reply(
-                    error.status, error_body(error.kind, str(error)), headers=headers
-                )
-            except Exception as error:  # pragma: no cover - defensive
-                self._reply(500, error_body("internal", "internal error: %s" % error))
-
-    return Handler
+    return {
+        ("GET", "/healthz"): lambda request: (200, service.healthz(), None),
+        ("GET", "/synopses"): lambda request: (200, service.synopses(), None),
+        ("GET", "/metrics"): metrics,
+        ("GET", "/debug/slowlog"): slowlog,
+        ("POST", "/estimate"): estimate,
+        # Delta uploads mutate the registry, not the estimate path: they
+        # bypass the admission gate (the registry's own lock serialises
+        # them) so an overloaded estimator can still be caught up.
+        ("POST", "/delta"): lambda request: (
+            200, service.handle_delta(request.read_json()), None
+        ),
+    }
 
 
-class ServiceServer:
+class ServiceServer(Front):
     """A running (threaded) HTTP server around an :class:`EstimationService`.
 
     ``port=0`` binds an ephemeral port; read it back from ``.port``.
@@ -1202,62 +1039,18 @@ class ServiceServer:
         read_deadline_s: Optional[float] = None,
     ):
         self.service = service
-        # Bind deferred so SO_REUSEPORT can be set first: the pre-fork
-        # worker pool binds N processes to the same (host, port) and the
-        # kernel load-balances accepted connections across them.
-        self.httpd = ThreadingHTTPServer(
-            (host, port),
-            _make_handler(service, read_deadline_s=read_deadline_s),
-            bind_and_activate=False,
+        super().__init__(
+            _routes(service),
+            host,
+            port,
+            name="repro-estimation-service",
+            reuse_port=reuse_port,
+            read_deadline_s=read_deadline_s,
         )
-        self.httpd.daemon_threads = True
-        try:
-            if reuse_port:
-                self.httpd.socket.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-                )
-            self.httpd.server_bind()
-            self.httpd.server_activate()
-        except BaseException:
-            self.httpd.server_close()
-            raise
-        self.host, self.port = self.httpd.server_address[0], self.httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def address(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
-
-    def start(self) -> "ServiceServer":
-        """Serve in a background daemon thread (tests, benchmarks)."""
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI entry point)."""
-        self.httpd.serve_forever()
-
-    def close(self, drain_timeout_s: float = 5.0) -> None:
-        """Graceful shutdown: stop admitting, drain in-flight estimates,
-        then tear the listener down.
-
-        New ``POST /estimate`` requests are shed (503) the moment the
-        gate closes; requests already executing get up to
-        ``drain_timeout_s`` to finish and write their responses.
-        """
+    def on_close(self, drain_timeout_s: float) -> None:
+        """Graceful shutdown: new ``POST /estimate`` requests are shed
+        (503) the moment the gate closes; requests already executing get
+        up to ``drain_timeout_s`` to finish."""
         self.service.gate.close()
-        self.httpd.shutdown()
         self.service.gate.drain(drain_timeout_s)
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -30,18 +30,13 @@ saturated.
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
-from urllib.parse import parse_qs, urlsplit
+from typing import Any, Dict, Optional, Tuple
 
+from repro.service.front import Front, Route
 from repro.shm.pool import WorkerPool
 from repro.shm.slab import LATENCY_BUCKET_BOUNDS_US
 
 __all__ = ["ControlServer", "pool_health", "pool_metrics", "render_pool_prom"]
-
-PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def pool_health(pool: WorkerPool) -> Dict[str, Any]:
@@ -120,106 +115,38 @@ def render_pool_prom(pool: WorkerPool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _make_handler(pool: WorkerPool) -> type:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-pool-control"
-        protocol_version = "HTTP/1.1"
+def _routes(pool: WorkerPool) -> Dict[Tuple[str, str], Route]:
+    def metrics(request) -> Any:
+        if request.params.get("format", [""])[0] == "prom":
+            return 200, render_pool_prom(pool), None
+        return 200, pool_metrics(pool), None
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass
+    def reload(request) -> Any:
+        request.read_body()  # unused, but a stalled body is a 408, not a reload
+        return 200, pool.reload(), None
 
-        def _reply_json(self, status: int, body: Dict[str, Any]) -> None:
-            data = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _reply_text(self, status: int, text: str) -> None:
-            data = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", PROM_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_GET(self) -> None:
-            try:
-                parts = urlsplit(self.path)
-                if parts.path == "/healthz":
-                    self._reply_json(200, pool_health(pool))
-                elif parts.path == "/metrics":
-                    params = parse_qs(parts.query)
-                    if params.get("format", [""])[0] == "prom":
-                        self._reply_text(200, render_pool_prom(pool))
-                    else:
-                        self._reply_json(200, pool_metrics(pool))
-                else:
-                    self._reply_json(
-                        404,
-                        {"error": {"kind": "not_found",
-                                   "message": "no such endpoint %r" % self.path}},
-                    )
-            except Exception as error:  # pragma: no cover - defensive
-                self._reply_json(
-                    500,
-                    {"error": {"kind": "internal", "message": str(error)}},
-                )
-
-        def do_POST(self) -> None:
-            try:
-                if self.path != "/reload":
-                    self._reply_json(
-                        404,
-                        {"error": {"kind": "not_found",
-                                   "message": "no such endpoint %r" % self.path}},
-                    )
-                    return
-                length = int(self.headers.get("Content-Length", 0) or 0)
-                if length:  # drain for keep-alive correctness; body unused
-                    self.rfile.read(length)
-                self._reply_json(200, pool.reload())
-            except Exception as error:  # pragma: no cover - defensive
-                self._reply_json(
-                    500,
-                    {"error": {"kind": "internal", "message": str(error)}},
-                )
-
-    return Handler
+    return {
+        ("GET", "/healthz"): lambda request: (200, pool_health(pool), None),
+        ("GET", "/metrics"): metrics,
+        ("POST", "/reload"): reload,
+    }
 
 
-class ControlServer:
+class ControlServer(Front):
     """The supervisor's HTTP server; binds its own (non-balanced) port."""
 
-    def __init__(self, pool: WorkerPool, host: str = "127.0.0.1", port: int = 0):
+    def __init__(
+        self,
+        pool: WorkerPool,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        read_deadline_s: Optional[float] = None,
+    ):
         self.pool = pool
-        self.httpd = ThreadingHTTPServer((host, port), _make_handler(pool))
-        self.httpd.daemon_threads = True
-        self.host = self.httpd.server_address[0]
-        self.port = self.httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
-
-    def start(self) -> "ControlServer":
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-pool-control", daemon=True
+        super().__init__(
+            _routes(pool),
+            host,
+            port,
+            name="repro-pool-control",
+            read_deadline_s=read_deadline_s,
         )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "ControlServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -462,7 +462,11 @@ class WorkerPool:
         service.workers_view = arena.aggregate
         service.workers_liveness = lambda: arena.liveness(self.stale_after_s)
         server = ServiceServer(
-            service, host=self.host, port=self.port, reuse_port=True
+            service,
+            host=self.host,
+            port=self.port,
+            reuse_port=True,
+            read_deadline_s=config.read_deadline_s,
         )
         return service, server
 
