@@ -9,6 +9,10 @@ more shard, scanned in isolation and merged into the maintained body
 tables.  Only the synopsis-sized merge and the histogram rebuild are
 paid per delta, never a re-scan of the base document.
 
+This is the only way a synopsis absorbs appends.  A subtree appended
+under a non-root parent has no delta form: it changes an existing
+record's sibling group and path id, so it needs a rebuild.
+
 Exactness
 ---------
 

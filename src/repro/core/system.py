@@ -340,7 +340,7 @@ class EstimationSystem:
         return "ready"
 
     def invalidate_kernel(self) -> bool:
-        """Drop the attached kernel (hot reload / live append guard).
+        """Drop the attached kernel (hot reload / delta guard).
 
         Marks the old kernel stale so captured references fall back to
         the legacy path instead of serving a replaced synopsis; the next

@@ -24,7 +24,7 @@ once instead:
 
 Compilation is lazy and thread-safe: only the tags/pairs a workload
 touches are ever built, under the kernel lock with double-checked reads.
-The kernel is *immutable once built* — hot reloads and live appends
+The kernel is *immutable once built* — hot reloads and applied deltas
 replace the system and :meth:`invalidate` the old kernel rather than
 mutating it.
 """
@@ -177,7 +177,7 @@ class SynopsisKernel:
         self.fallbacks += 1
 
     def invalidate(self) -> None:
-        """Mark stale (hot reload / live append replaced the synopsis)."""
+        """Mark stale (hot reload / delta replaced the synopsis)."""
         with self._lock:
             self.invalidated = True
             self._tag_totals.clear()

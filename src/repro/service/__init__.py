@@ -6,8 +6,8 @@ query optimizers.  This package is that shipping lane, stdlib only:
 
 * :mod:`repro.service.registry` — loads persisted synopses from a
   snapshot directory, hot-reloads them when the files change, and hosts
-  *live* synopses maintained in place under appends
-  (:mod:`repro.stats.maintenance`);
+  in-memory synopses, including delta-capable ones that absorb appends
+  through :mod:`repro.cluster.delta`;
 * :mod:`repro.service.plancache` — an LRU of compiled plans (parsed AST,
   chosen estimation route, scoped-axis rewrite variants, canonical key)
   so hot queries skip parsing and routing entirely; the estimate itself
@@ -51,7 +51,6 @@ from repro.service.config import DEFAULT_PORT, ClientConfig, ServerConfig
 from repro.service.metrics import LatencySummary, ServiceMetrics
 from repro.service.plancache import CompiledPlan, PlanCache, compile_plan
 from repro.service.registry import (
-    LiveSynopsis,
     SynopsisEntry,
     SynopsisRegistry,
     UnknownSynopsisError,
@@ -59,23 +58,22 @@ from repro.service.registry import (
 from repro.service.server import EstimationService, ServiceServer
 
 
-def serve(
-    snapshot_dir: str,
-    *,
+def build_service(
+    registry: SynopsisRegistry,
     config: Optional[ServerConfig] = None,
-    registry: Optional[SynopsisRegistry] = None,
-) -> ServiceServer:
-    """Assemble a fully wired, **not yet started** service server.
+    *,
+    metrics: Optional[ServiceMetrics] = None,
+) -> EstimationService:
+    """The :class:`EstimationService` one :class:`ServerConfig` describes.
 
-    One :class:`ServerConfig` drives registry, plan cache, admission
-    gate, slow-query log and trace sampling; call ``.start()`` (tests)
-    or ``.serve_forever()`` (daemons) on the returned server.
+    Assembles the admission gate (QoS-tiered when ``config.qos``), the
+    brownout controller (when ``config.brownout`` as well), the
+    slow-query log, the plan cache, semcache knobs and trace sampling.
+    :func:`serve` and every pre-fork pool worker build their service
+    here; ``metrics`` lets a worker mirror its counters into shared
+    memory (default: a fresh :class:`ServiceMetrics`).
     """
     cfg = config if config is not None else ServerConfig()
-    if registry is None:
-        registry = SynopsisRegistry(
-            snapshot_dir, check_interval=cfg.reload_interval_s
-        )
     if cfg.qos:
         gate = TieredAdmissionGate(
             tiers=default_tiers(
@@ -101,9 +99,10 @@ def serve(
     else:
         gate = AdmissionGate(max_inflight=cfg.max_inflight)
         brownout = None
-    service = EstimationService(
+    return EstimationService(
         registry,
         plan_cache=PlanCache(cfg.plan_cache_capacity),
+        metrics=metrics,
         gate=gate,
         semcache_capacity=cfg.semcache_capacity,
         semcache_ttl_s=cfg.semcache_ttl_s,
@@ -116,8 +115,28 @@ def serve(
         trace_sample_rate=cfg.trace_sample_rate,
         brownout=brownout,
     )
+
+
+def serve(
+    snapshot_dir: str,
+    *,
+    config: Optional[ServerConfig] = None,
+    registry: Optional[SynopsisRegistry] = None,
+) -> ServiceServer:
+    """Assemble a fully wired, **not yet started** service server.
+
+    One :class:`ServerConfig` drives registry, plan cache, admission
+    gate, slow-query log and trace sampling (see :func:`build_service`);
+    call ``.start()`` (tests) or ``.serve_forever()`` (daemons) on the
+    returned server.
+    """
+    cfg = config if config is not None else ServerConfig()
+    if registry is None:
+        registry = SynopsisRegistry(
+            snapshot_dir, check_interval=cfg.reload_interval_s
+        )
     return ServiceServer(
-        service,
+        build_service(registry, cfg),
         host=cfg.host,
         port=cfg.port,
         read_deadline_s=cfg.read_deadline_s,
@@ -159,7 +178,6 @@ __all__ = [
     "EndpointClient",
     "EstimationService",
     "LatencySummary",
-    "LiveSynopsis",
     "PlanCache",
     "ServerConfig",
     "ServiceError",
@@ -169,6 +187,7 @@ __all__ = [
     "SynopsisEntry",
     "SynopsisRegistry",
     "UnknownSynopsisError",
+    "build_service",
     "compile_plan",
     "serve",
     "serve_pool",

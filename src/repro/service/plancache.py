@@ -14,7 +14,7 @@ variants for scoped queries and the canonical key.  It holds no
 estimate: the served value is read through the synopsis's semantic
 result cache, keyed by that canonical key.  :class:`PlanCache` is a
 thread-safe LRU keyed by ``(synopsis name, generation, query text)`` —
-hot reloads and live appends bump the generation, so stale plans simply
+hot reloads and refreshing deltas bump the generation, so stale plans simply
 age out.
 """
 

@@ -1,7 +1,7 @@
 """Synopsis registry: named estimation systems with hot reload.
 
 A registry serves :class:`~repro.core.system.EstimationSystem` instances
-under stable names.  Three kinds of entry coexist:
+under stable names.  Two kinds of entry coexist:
 
 * **file-backed** — loaded from ``<snapshot_dir>/<name>.json`` via
   :func:`repro.persist.loads`; ``get`` re-reads the file and reloads it
@@ -21,14 +21,15 @@ under stable names.  Three kinds of entry coexist:
   and lazy compilation (``pack_failures`` counts those).  A
   ``<name>.kernelpack`` with no JSON beside it serves alone, since the
   pack embeds the full synopsis;
-* **in-memory** — registered programmatically (tests, benchmarks);
-* **live** — a :class:`LiveSynopsis` wrapping
-  :class:`~repro.stats.maintenance.MaintainedStatistics`: appends patch
-  the statistics in place and the served system is rebuilt from the
-  maintained tables, again without a restart.
+* **in-memory** — registered programmatically (tests, benchmarks,
+  embedding).  One built by :meth:`SynopsisRegistry.register_incremental`
+  carries an :class:`~repro.cluster.delta.IncrementalSynopsis`, so
+  appends arrive as deltas through :meth:`SynopsisRegistry.apply_delta`
+  without a rebuild or a restart.
 
-Every successful reload or append bumps the entry's ``generation``; the
-plan cache keys on it, so stale compiled plans die with the generation.
+Every successful reload or refreshing delta bumps the entry's
+``generation``; the plan cache keys on it, so stale compiled plans die
+with the generation.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ from repro.core.system import EstimationSystem
 # catches rejected packs too.
 from repro.errors import PersistError, ReproError
 from repro.reliability import faults
-from repro.stats.maintenance import MaintainedStatistics
 from repro.shm.kernelpack import PACK_SUFFIX, load_pack, pack_stamp
-from repro.xmltree.document import XmlDocument
-from repro.xmltree.node import XmlNode
 
 SNAPSHOT_SUFFIX = ".json"
 
@@ -65,47 +63,6 @@ class UnknownSynopsisError(ReproError, KeyError):
     kind = "unknown_synopsis"
 
 
-class LiveSynopsis:
-    """A synopsis maintained in place under appends (no restart needed).
-
-    Wraps :class:`MaintainedStatistics`; ``append_subtree`` patches the
-    statistics tables incrementally and rebuilds the histogram-backed
-    estimation system from them at the configured variance thresholds.
-    """
-
-    def __init__(
-        self,
-        document: XmlDocument,
-        p_variance: float = 0.0,
-        o_variance: float = 0.0,
-    ):
-        self.maintained = MaintainedStatistics(document)
-        self.p_variance = p_variance
-        self.o_variance = o_variance
-        self.system = self._rebuild()
-
-    def _rebuild(self) -> EstimationSystem:
-        previous = getattr(self, "system", None)
-        self.system = EstimationSystem.from_tables(
-            self.maintained.labeled,
-            self.maintained.pathid_table,
-            self.maintained.order_table,
-            p_variance=self.p_variance,
-            o_variance=self.o_variance,
-        )
-        if previous is not None:
-            # The replaced system's compiled kernel describes statistics
-            # that no longer serve; captured references must fall back.
-            previous.invalidate_kernel()
-        return self.system
-
-    def append_subtree(self, parent: XmlNode, subtree: XmlNode) -> EstimationSystem:
-        """Append and refresh the served system (RequiresRebuild passes
-        through untouched — the caller decides whether to rebuild)."""
-        self.maintained.append_subtree(parent, subtree)
-        return self._rebuild()
-
-
 class SynopsisEntry:
     """One registered synopsis and its serving state."""
 
@@ -115,7 +72,6 @@ class SynopsisEntry:
         "generation",
         "path",
         "stamp",
-        "live",
         "load_error",
         "last_check",
         "pack_stamp",
@@ -128,7 +84,6 @@ class SynopsisEntry:
         system: EstimationSystem,
         path: Optional[str] = None,
         stamp: Optional[tuple] = None,
-        live: Optional[LiveSynopsis] = None,
     ):
         self.name = name
         self.system = system
@@ -136,7 +91,6 @@ class SynopsisEntry:
         self.path = path
         # (mtime_ns, size, crc32) of the loaded snapshot file's content.
         self.stamp = stamp
-        self.live = live
         self.load_error: Optional[str] = None
         self.last_check = float("-inf")
         # Kernelpack serving state: the stamp of the usable pack beside
@@ -149,8 +103,6 @@ class SynopsisEntry:
 
     @property
     def source(self) -> str:
-        if self.live is not None:
-            return "live"
         return self.path if self.path is not None else "memory"
 
     @property
@@ -361,7 +313,8 @@ class SynopsisRegistry:
         their ordinary hot-reload check instead of needing the delta
         re-sent.  Raises
         :class:`~repro.cluster.delta.DeltaUnsupportedError` for entries
-        without incremental state (plain snapshots, packs, live trees).
+        without incremental state (plain snapshots, packs, systems
+        registered without it).
         """
         from repro.cluster.delta import DeltaUnsupportedError
 
@@ -399,32 +352,6 @@ class SynopsisRegistry:
                     except Exception:  # pragma: no cover - observer must not break serving
                         pass
             return entry, outcome
-
-    def register_live(
-        self,
-        name: str,
-        document: XmlDocument,
-        p_variance: float = 0.0,
-        o_variance: float = 0.0,
-    ) -> SynopsisEntry:
-        """Register a live synopsis maintained under appends."""
-        live = LiveSynopsis(document, p_variance, o_variance)
-        with self._lock:
-            entry = SynopsisEntry(name, live.system, live=live)
-            self._entries[name] = entry
-            return entry
-
-    def append(self, name: str, parent: XmlNode, subtree: XmlNode) -> SynopsisEntry:
-        """Append to a live synopsis; the next ``get`` serves the update."""
-        with self._lock:
-            entry = self._require(name)
-            if entry.live is None:
-                raise ValueError(
-                    "synopsis %r is not live (register_live to maintain appends)" % name
-                )
-            entry.system = entry.live.append_subtree(parent, subtree)
-            entry.generation += 1
-            return entry
 
     def scan(self) -> List[str]:
         """Load (or refresh) every ``*.json`` snapshot in the directory.
@@ -544,16 +471,16 @@ class SynopsisRegistry:
     def _load_or_refresh(self, name: str, path: str) -> SynopsisEntry:
         entry = self._entries.get(name)
         if entry is not None and entry.path is None:
-            # Staleness-race guard: an in-memory or live registration
-            # (register / register_source / register_live, possibly
-            # already appended to) is authoritative over a same-named
-            # snapshot or kernelpack sitting in the directory.  Without
-            # this, a scan() racing a live append would clobber the
-            # appended system with the older file — resurrecting a
-            # pre-append kernel — and a pack-only twin would crash the
-            # scan outright (stat(None)).  The check runs under the
-            # registry lock, atomically with the pack-preference probe
-            # below, so the decision cannot interleave with a swap.
+            # Staleness-race guard: an in-memory registration (register /
+            # register_source / register_incremental, possibly already
+            # delta-applied) is authoritative over a same-named snapshot
+            # or kernelpack sitting in the directory.  Without this, a
+            # scan() racing a delta would clobber the merged system with
+            # the older file — resurrecting a pre-delta kernel — and a
+            # pack-only twin would crash the scan outright (stat(None)).
+            # The check runs under the registry lock, atomically with the
+            # pack-preference probe below, so the decision cannot
+            # interleave with a swap.
             return entry
         if entry is None:
             if path.endswith(PACK_SUFFIX):

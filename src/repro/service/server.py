@@ -711,7 +711,7 @@ class EstimationService:
             raise RequestError(404, "unknown synopsis %s" % error, "unknown_synopsis")
         except DeltaUnsupportedError as error:
             # 409: the synopsis exists but cannot absorb deltas (plain
-            # snapshot, kernelpack, live tree) — re-sending won't help.
+            # snapshot, kernelpack) — re-sending won't help.
             raise RequestError(409, str(error), error_kind(error))
         except DeltaError as error:
             raise RequestError(400, str(error), error_kind(error))

@@ -431,32 +431,16 @@ class WorkerPool:
         return 0
 
     def _build_worker_service(self, slab: WorkerSlab, arena: SlabArena):
-        from repro.obs.slowlog import SlowQueryLog
-        from repro.reliability.shedding import AdmissionGate
-        from repro.service.plancache import PlanCache
+        from repro.service import build_service
         from repro.service.registry import SynopsisRegistry
-        from repro.service.server import EstimationService, ServiceServer
+        from repro.service.server import ServiceServer
 
         config = self.config
         registry = SynopsisRegistry(
             self.snapshot_dir, check_interval=config.reload_interval_s
         )
         registry.scan()
-        service = EstimationService(
-            registry,
-            plan_cache=PlanCache(config.plan_cache_capacity),
-            metrics=SlabMirrorMetrics(slab),
-            gate=AdmissionGate(max_inflight=config.max_inflight),
-            semcache_capacity=config.semcache_capacity,
-            semcache_ttl_s=config.semcache_ttl_s,
-            request_deadline_s=config.request_deadline_s,
-            slow_log=SlowQueryLog(
-                capacity=config.slowlog_capacity,
-                threshold_ms=config.slowlog_threshold_ms,
-                top_k=config.slowlog_top_k,
-            ),
-            trace_sample_rate=config.trace_sample_rate,
-        )
+        service = build_service(registry, config, metrics=SlabMirrorMetrics(slab))
         # Any worker can render the pool-wide picture: the arena is
         # shared memory, readable from every process.
         service.workers_view = arena.aggregate

@@ -209,7 +209,7 @@ def scan_sibling_group(children, pid_of, grid_for) -> None:
     ``pid_of(node)`` returns the node's path id, ``grid_for(tag)`` the grid
     to update.  For a group of size ``n`` with ``d`` distinct tags this
     does ``O(n * d)`` work using running prefix/suffix tag multisets.
-    Shared by the full scan and the incremental-maintenance extension.
+    Shared by the tree scan, the streaming scanner and the shard reducer.
     """
     if len(children) < 2:
         return

@@ -38,8 +38,7 @@ class XmlDocument:
     def renumber(self) -> None:
         """(Re)assign pre-order numbers and rebuild the tag index.
 
-        Called by the constructor; exposed for the incremental-maintenance
-        extension, which appends subtrees to an already-built document.
+        Called by the constructor; call it again after mutating the tree.
         """
         self._nodes = []
         self._by_tag = {}

@@ -9,6 +9,7 @@ preserves that property under operational pressure.
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -21,6 +22,8 @@ from repro.cluster.delta import (
     DeltaUnsupportedError,
     IncrementalSynopsis,
 )
+from repro.datasets import generate_dblp
+from repro.xmltree.serializer import serialize
 
 BASE_BODY = "".join(
     "<A><B/><C><D/></C></A>" if i % 2 else "<A><B/><B/></A>" for i in range(24)
@@ -42,6 +45,17 @@ def doc(body: str) -> str:
     return "<Root>" + body + "</Root>"
 
 
+def assert_same_as_rebuild(system, combined_text, queries):
+    """Every persisted table and every estimate equals a from-scratch
+    build of the combined document."""
+    rebuilt = build_synopsis(combined_text)
+    ours = persist.system_to_dict(system)
+    ours.pop("incremental")
+    assert ours == persist.system_to_dict(rebuilt)
+    for query in queries:
+        assert system.estimate(query) == rebuilt.estimate(query), query
+
+
 @pytest.fixture()
 def incremental():
     return IncrementalSynopsis.build(doc(BASE_BODY), name="inc")
@@ -52,17 +66,13 @@ class TestBitIdentity:
         partial = incremental.scan_fragment(DELTA_BODY)
         outcome = incremental.apply(partial)
         assert outcome.refreshed
-        combined = build_synopsis(doc(BASE_BODY + DELTA_BODY))
-        for query in QUERIES:
-            assert outcome.system.estimate(query) == combined.estimate(query), query
+        assert_same_as_rebuild(outcome.system, doc(BASE_BODY + DELTA_BODY), QUERIES)
 
     def test_sequential_deltas_accumulate(self, incremental):
         chunks = ["<A><B/></A>", "<A><C><D/></C><B/></A>", "<A><B/><B/><C/></A>"]
         for chunk in chunks:
             outcome = incremental.apply(incremental.scan_fragment(chunk))
-        combined = build_synopsis(doc(BASE_BODY + "".join(chunks)))
-        for query in QUERIES:
-            assert outcome.system.estimate(query) == combined.estimate(query), query
+        assert_same_as_rebuild(outcome.system, doc(BASE_BODY + "".join(chunks)), QUERIES)
 
     def test_new_tag_delta_remaps_encodings(self, incremental):
         """A delta introducing brand-new paths shifts every existing
@@ -71,9 +81,11 @@ class TestBitIdentity:
         fragment = "<A><E><F/></E></A><A><E/></A>"
         outcome = incremental.apply(incremental.scan_fragment(fragment))
         assert outcome.new_paths >= 2
-        combined = build_synopsis(doc(BASE_BODY + fragment))
-        for query in QUERIES + ["//A/$E", "//A/E/$F", "//A[/E]/$B"]:
-            assert outcome.system.estimate(query) == combined.estimate(query), query
+        assert_same_as_rebuild(
+            outcome.system,
+            doc(BASE_BODY + fragment),
+            QUERIES + ["//A/$E", "//A/E/$F", "//A[/E]/$B"],
+        )
 
     def test_empty_delta_is_a_noop(self, incremental):
         before = incremental.system
@@ -213,3 +225,40 @@ class TestPersistence:
         payload["incremental"]["paths"] = "not-a-list"
         with pytest.raises(persist.SynopsisLoadError):
             persist.incremental_from_dict(payload["incremental"])
+
+
+DBLP_QUERIES = [
+    "//dblp/article/$author",
+    "//inproceedings/$title",
+    "//article[/month]/$author",
+    "/dblp/$article",
+    "//article[/author/folls::$title]",
+]
+
+
+class TestOnDataset:
+    """Randomized record appends on a generated DBLP-like corpus."""
+
+    @staticmethod
+    def _corpus():
+        document = generate_dblp(scale=0.01, seed=5)
+        records = [serialize(node) for node in document.root.children]
+        return serialize(document), records
+
+    def test_randomized_appends_match_rebuild(self):
+        text, records = self._corpus()
+        inc = IncrementalSynopsis.build(text)
+        rng = random.Random(3)
+        appended = [rng.choice(records) for _ in range(5)]
+        for record in appended:
+            outcome = inc.apply(inc.scan_fragment(record))
+        combined = text[: -len("</dblp>")] + "".join(appended) + "</dblp>"
+        assert_same_as_rebuild(outcome.system, combined, DBLP_QUERIES)
+
+    def test_estimates_reflect_appends(self):
+        text, records = self._corpus()
+        inc = IncrementalSynopsis.build(text)
+        before = inc.system.estimate("//dblp/article/$author")
+        article = next(record for record in records if record.startswith("<article"))
+        outcome = inc.apply(inc.scan_fragment(article))
+        assert outcome.system.estimate("//dblp/article/$author") > before

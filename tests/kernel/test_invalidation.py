@@ -1,4 +1,4 @@
-"""Stale-kernel guard: hot reloads and live appends must invalidate.
+"""Stale-kernel guard: hot reloads and applied deltas must invalidate.
 
 A kernel compiled against a replaced synopsis must never serve again —
 captured references (in-flight joins, cached plans) fall back to the
@@ -15,9 +15,12 @@ import time
 import pytest
 
 from repro import EstimationSystem, persist
+from repro.build.stream import scan_text
+from repro.cluster.delta import DeltaError
 from repro.service import SynopsisRegistry
 from repro.xmltree.builder import el
 from repro.xmltree.document import XmlDocument
+from repro.xmltree.serializer import serialize
 
 QUERY = "//A/B"
 
@@ -114,18 +117,21 @@ def _library_document():
     return XmlDocument(root)
 
 
+def _append(registry, name, fragment):
+    """Append top-level records to an incremental entry as one delta."""
+    partial = registry.system(name).incremental.scan_fragment(fragment)
+    return registry.apply_delta(name, partial)
+
+
 class TestLiveAppend:
     def test_append_invalidates_kernel(self):
         registry = SynopsisRegistry()
-        entry = registry.register_live("lib", _library_document())
+        entry = registry.register_incremental("lib", serialize(_library_document()))
         system = entry.system
         value, kernel = _warm(system, "//rec/$author")
         assert value == pytest.approx(3.0)
 
-        registry.append(
-            "lib", entry.live.maintained.document.root,
-            el("rec", el("author"), el("title")),
-        )
+        _append(registry, "lib", "<rec><author/><title/></rec>")
         assert kernel.invalidated
         after = registry.get("lib")
         assert after.system is not system
@@ -133,16 +139,15 @@ class TestLiveAppend:
         assert after.system.kernel_active()
 
     def test_failed_append_keeps_kernel(self):
-        from repro.stats.maintenance import RequiresRebuild
-
         registry = SynopsisRegistry()
-        entry = registry.register_live("lib", _library_document())
+        entry = registry.register_incremental("lib", serialize(_library_document()))
         system = entry.system
         _, kernel = _warm(system, "//rec/$author")
-        with pytest.raises(RequiresRebuild):
-            registry.append(
-                "lib", entry.live.maintained.document.root, el("rec", el("editor"))
-            )
+        # A whole-document partial has no top-level record sequence to
+        # append to, so the delta is rejected before anything merges.
+        whole = scan_text("<lib><rec><editor/></rec></lib>")
+        with pytest.raises(DeltaError):
+            registry.apply_delta("lib", whole)
         assert not kernel.invalidated
         assert registry.get("lib").system is system
 

@@ -1,4 +1,4 @@
-"""Registry: scanning, hot reload, failure tolerance, live appends."""
+"""Registry: scanning, hot reload, failure tolerance, appends as deltas."""
 
 import os
 import time
@@ -7,9 +7,10 @@ import pytest
 
 from repro import EstimationSystem, persist
 from repro.service import SynopsisRegistry, UnknownSynopsisError
-from repro.stats.maintenance import RequiresRebuild
+from repro.build.stream import scan_text
 from repro.xmltree.builder import el
 from repro.xmltree.document import XmlDocument
+from repro.xmltree.serializer import serialize
 
 QUERY = "//A/B"
 
@@ -147,46 +148,53 @@ def _library_document():
     return XmlDocument(root)
 
 
+def _append(registry, name, fragment):
+    """Append top-level records to an incremental entry as one delta."""
+    partial = registry.system(name).incremental.scan_fragment(fragment)
+    return registry.apply_delta(name, partial)
+
+
 class TestLiveSynopsis:
     def test_append_updates_estimates_without_restart(self):
         registry = SynopsisRegistry()
-        entry = registry.register_live("lib", _library_document())
-        assert entry.system.estimate("//rec/$author") == pytest.approx(3.0)
+        registry.register_incremental("lib", serialize(_library_document()))
+        assert registry.system("lib").estimate("//rec/$author") == pytest.approx(3.0)
 
-        registry.append(
-            "lib", entry.live.maintained.document.root,
-            el("rec", el("author"), el("title")),
-        )
+        _append(registry, "lib", "<rec><author/><title/></rec>")
         entry = registry.get("lib")
         assert entry.generation == 2
         assert entry.system.estimate("//rec/$author") == pytest.approx(4.0)
-        assert entry.describe()["source"] == "live"
+        assert entry.describe()["source"] == "memory"
 
     def test_append_matches_full_rebuild(self):
         registry = SynopsisRegistry()
-        entry = registry.register_live("lib", _library_document())
-        registry.append(
-            "lib", entry.live.maintained.document.root,
-            el("rec", el("author"), el("title")),
-        )
-        rebuilt = EstimationSystem.build(entry.live.maintained.document)
+        document = _library_document()
+        registry.register_incremental("lib", serialize(document))
+        _append(registry, "lib", "<rec><author/><title/></rec>")
+        document.root.append(el("rec", el("author"), el("title")))
+        rebuilt = EstimationSystem.build(XmlDocument(document.root))
         for query in ("//rec/$author", "//lib/rec", "//rec[/author]/$title"):
             assert registry.system("lib").estimate(query) == pytest.approx(
                 rebuilt.estimate(query)
             )
 
     def test_new_path_type_requires_rebuild(self):
+        # The delta path absorbs a new root-to-leaf path type by widening
+        # the bit layout; the result equals a rebuild of the grown document.
         registry = SynopsisRegistry()
-        entry = registry.register_live("lib", _library_document())
-        with pytest.raises(RequiresRebuild):
-            registry.append(
-                "lib", entry.live.maintained.document.root, el("rec", el("editor"))
-            )
-        # Nothing was mutated: the old estimate still holds.
-        assert registry.system("lib").estimate("//rec/$author") == pytest.approx(3.0)
+        document = _library_document()
+        registry.register_incremental("lib", serialize(document))
+        _, outcome = _append(registry, "lib", "<rec><editor/></rec>")
+        assert outcome.new_paths == 1
+        document.root.append(el("rec", el("editor")))
+        rebuilt = EstimationSystem.build(XmlDocument(document.root))
+        for query in ("//rec/$author", "//rec/$editor", "//lib/rec"):
+            assert registry.system("lib").estimate(query) == rebuilt.estimate(query)
+        assert registry.system("lib").estimate("//rec/$editor") == pytest.approx(1.0)
 
     def test_append_to_non_live_entry(self, figure1_system):
         registry = SynopsisRegistry()
         registry.register("fig1", figure1_system)
+        # DeltaUnsupportedError is a BuildError, hence a ValueError.
         with pytest.raises(ValueError):
-            registry.append("fig1", None, el("x"))
+            registry.apply_delta("fig1", scan_text("<x/>", ("Root",)))

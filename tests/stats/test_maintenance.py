@@ -1,116 +1,64 @@
-"""Incremental maintenance == rebuild from scratch, on every structure."""
+"""Record appends through the delta path == rebuild from scratch.
 
-import random
+A small library document gets top-level ``rec`` records appended as
+scanned fragments (``IncrementalSynopsis``); every persisted table and
+every estimate must equal a from-scratch build of the combined document.
+"""
 
 import pytest
 
-from repro.datasets import generate_dblp
-from repro.stats.maintenance import MaintainedStatistics, RequiresRebuild
-from repro.xmltree.builder import el
-from repro.xmltree.document import XmlDocument
-from repro.xmltree.node import XmlNode
+from repro import persist
+from repro.build.builder import build_synopsis
+from repro.cluster.delta import IncrementalSynopsis
+
+BASE = "<lib><rec><author/><title/></rec><rec><author/><author/><title/></rec></lib>"
+QUERIES = ["//rec/$author", "//rec/$title", "/lib/$rec", "//rec[/author/folls::$title]"]
 
 
-def clone_subtree(node: XmlNode) -> XmlNode:
-    copy = XmlNode(node.tag, dict(node.attributes), node.text)
-    for child in node.children:
-        copy.append(clone_subtree(child))
-    return copy
+def combined(*records: str) -> str:
+    return BASE[: -len("</lib>")] + "".join(records) + "</lib>"
 
 
-def assert_equivalent_to_rebuild(maintained: MaintainedStatistics) -> None:
-    rebuilt = MaintainedStatistics(maintained.document)
-    # pid arrays
-    assert maintained.labeled.pathids == rebuilt.labeled.pathids
-    # frequency tables
-    for tag in rebuilt.pathid_table.tags():
-        assert maintained.pathid_table.pairs(tag) == rebuilt.pathid_table.pairs(tag)
-    assert maintained.pathid_table.tags() == rebuilt.pathid_table.tags()
-    # order tables
-    assert maintained.order_table.tags() == rebuilt.order_table.tags()
-    for tag in rebuilt.order_table.tags():
-        ours = maintained.order_table.grid(tag)
-        theirs = rebuilt.order_table.grid(tag)
-        assert ours.region(True) == theirs.region(True)
-        assert ours.region(False) == theirs.region(False)
+def assert_equivalent_to_rebuild(system, text, queries=QUERIES) -> None:
+    rebuilt = build_synopsis(text)
+    ours = persist.system_to_dict(system)
+    ours.pop("incremental")
+    assert ours == persist.system_to_dict(rebuilt)
+    for query in queries:
+        assert system.estimate(query) == rebuilt.estimate(query), query
 
 
 class TestAppendRecord:
-    def make(self):
-        root = el(
-            "lib",
-            el("rec", el("author"), el("title")),
-            el("rec", el("author"), el("author"), el("title")),
+    @pytest.fixture()
+    def maintained(self):
+        return IncrementalSynopsis.build(BASE)
+
+    def test_append_known_shape(self, maintained):
+        record = "<rec><author/><title/></rec>"
+        outcome = maintained.apply(maintained.scan_fragment(record))
+        assert outcome.refreshed
+        assert outcome.elements_added == 3
+        assert outcome.new_paths == 0
+        assert_equivalent_to_rebuild(outcome.system, combined(record))
+
+    def test_multiple_appends(self, maintained):
+        records = ["<rec><author/><title/></rec>"] * 4
+        for record in records:
+            outcome = maintained.apply(maintained.scan_fragment(record))
+        assert_equivalent_to_rebuild(outcome.system, combined(*records))
+
+    def test_new_path_type_rejected_without_mutation(self, maintained):
+        # The delta path absorbs a new root-to-leaf path type by widening
+        # the bit layout instead of rejecting it; the served system before
+        # the append is left as it was.
+        served = maintained.system
+        before = served.estimate("//rec/$isbn")
+        record = "<rec><isbn/></rec>"
+        outcome = maintained.apply(maintained.scan_fragment(record))
+        assert outcome.new_paths == 1
+        assert outcome.system is not served
+        assert served.estimate("//rec/$isbn") == before == 0
+        assert outcome.system.estimate("//rec/$isbn") == 1
+        assert_equivalent_to_rebuild(
+            outcome.system, combined(record), QUERIES + ["//rec/$isbn"]
         )
-        return MaintainedStatistics(XmlDocument(root))
-
-    def test_append_known_shape(self):
-        maintained = self.make()
-        new_record = el("rec", el("author"), el("title"))
-        maintained.append_subtree(maintained.document.root, new_record)
-        assert len(maintained.document) == 11  # 8 original + 3 appended
-        assert_equivalent_to_rebuild(maintained)
-
-    def test_append_deep_position(self):
-        maintained = self.make()
-        first_record = maintained.document.root.children[0]
-        maintained.append_subtree(first_record, el("author"))
-        assert_equivalent_to_rebuild(maintained)
-
-    def test_multiple_appends(self):
-        maintained = self.make()
-        for _ in range(4):
-            maintained.append_subtree(
-                maintained.document.root, el("rec", el("author"), el("title"))
-            )
-        assert_equivalent_to_rebuild(maintained)
-
-    def test_new_path_type_rejected_without_mutation(self):
-        maintained = self.make()
-        before = len(maintained.document)
-        with pytest.raises(RequiresRebuild):
-            maintained.append_subtree(
-                maintained.document.root, el("rec", el("isbn"))
-            )
-        assert len(maintained.document) == before
-
-    def test_subtree_not_under_parent_coverage_rejected(self):
-        maintained = self.make()
-        # 'author' exists under rec, not directly under lib/rec/title...
-        title = maintained.document.root.children[0].children[1]
-        with pytest.raises(RequiresRebuild):
-            maintained.append_subtree(title, el("author"))
-
-    def test_attached_subtree_rejected(self):
-        maintained = self.make()
-        existing = maintained.document.root.children[0].children[0]
-        with pytest.raises(ValueError):
-            maintained.append_subtree(maintained.document.root, existing)
-
-
-class TestOnDataset:
-    def test_randomized_appends_match_rebuild(self):
-        document = generate_dblp(scale=0.01, seed=5)
-        maintained = MaintainedStatistics(document)
-        rng = random.Random(3)
-        records = [node for node in document if node.parent is document.root]
-        for _ in range(5):
-            template = rng.choice(records)
-            maintained.append_subtree(document.root, clone_subtree(template))
-        assert_equivalent_to_rebuild(maintained)
-
-    def test_estimates_reflect_appends(self):
-        from repro.core.providers import ExactPathStats
-        from repro.core.noorder import estimate_no_order
-        from repro.xpath import parse_query
-
-        document = generate_dblp(scale=0.01, seed=5)
-        maintained = MaintainedStatistics(document)
-        query = parse_query("//dblp/article/$author")
-        provider = ExactPathStats(maintained.pathid_table)
-        before = estimate_no_order(query, provider, maintained.labeled.encoding_table)
-        articles = [n for n in document if n.tag == "article"]
-        maintained.append_subtree(document.root, clone_subtree(articles[0]))
-        provider = ExactPathStats(maintained.pathid_table)
-        after = estimate_no_order(query, provider, maintained.labeled.encoding_table)
-        assert after > before

@@ -101,6 +101,62 @@ class TestSnapshot:
         assert persist.load(str(tmp_path / "torn.json")).estimate("//A/B") > 0
 
 
+LIB = "<lib><rec><author/><title/></rec><rec><author/><author/><title/></rec></lib>"
+#: One record of a known shape, one carrying a new path type.
+FRAGMENT = "<rec><author/><title/></rec><rec><editor/></rec>"
+
+
+class TestDelta:
+    """``repro delta --snapshot-dir``: the offline apply."""
+
+    @pytest.fixture()
+    def snaps(self, tmp_path):
+        source = tmp_path / "lib.xml"
+        source.write_text(LIB, encoding="utf-8")
+        (tmp_path / "fragment.xml").write_text(FRAGMENT, encoding="utf-8")
+        out_dir = str(tmp_path / "snaps") + "/"
+        assert main(["snapshot", "--file", str(source), "--incremental",
+                     "--output", out_dir]) == 0
+        assert main(["snapshot", "--file", str(source), "--name", "plain",
+                     "--output", out_dir]) == 0
+        return tmp_path
+
+    def _delta(self, snaps, name, *flags):
+        return main(["delta", name, "--fragment", str(snaps / "fragment.xml"),
+                     "--snapshot-dir", str(snaps / "snaps"), *flags])
+
+    def test_delta_matches_full_rebuild(self, snaps, capsys):
+        from repro import persist
+        from repro.build.builder import build_synopsis
+
+        path = str(snaps / "snaps" / "lib.json")
+        before = persist.load(path)
+        assert before.estimate("//rec/$author") == 3.0
+        assert before.estimate("//rec/$editor") == 0.0
+        capsys.readouterr()
+        assert self._delta(snaps, "lib") == 0
+        assert "+5 element(s), 1 new path(s)" in capsys.readouterr().out
+        after = persist.load(path)
+        rebuilt = build_synopsis(LIB.replace("</lib>", FRAGMENT + "</lib>"))
+        merged = persist.system_to_dict(after)
+        merged.pop("incremental")
+        assert merged == persist.system_to_dict(rebuilt)
+        assert after.estimate("//rec/$author") == 4.0
+        assert after.estimate("//rec/$editor") == 1.0
+        assert after.incremental is not None
+
+    def test_delta_on_plain_snapshot_fails(self, snaps, capsys):
+        assert self._delta(snaps, "plain") == 1
+        assert "carries no incremental state" in capsys.readouterr().err
+
+    def test_delta_dry_run_leaves_snapshot(self, snaps, capsys):
+        path = snaps / "snaps" / "lib.json"
+        original = path.read_bytes()
+        assert self._delta(snaps, "lib", "--dry-run") == 0
+        assert "dry run: +5 element(s), 1 new path(s)" in capsys.readouterr().out
+        assert path.read_bytes() == original
+
+
 class TestServe:
     def test_missing_snapshot_dir_fails_cleanly(self, tmp_path, capsys):
         code = main(["serve", "--snapshot-dir", str(tmp_path / "nope")])
