@@ -12,6 +12,11 @@ same concurrent workload twice:
 * **shedding off** — an effectively unbounded gate admits everything,
   so healthy requests wait behind stalled handler threads.
 
+Before each sweep, ``TIGHT_INFLIGHT`` requests stall in their handlers
+until one more request has been answered: the tight gate must shed that
+one, so the shedding claim does not hang on how the client threads
+happen to overlap.
+
 Reported: goodput (successful estimates/s), p99 latency of successful
 requests, and how many requests were shed.  Correctness is pinned: every
 *successful* estimate equals the direct ``EstimationSystem.estimate``.
@@ -24,7 +29,7 @@ import time
 
 from repro.harness.tables import format_table, record_result
 from repro.reliability import AdmissionGate, RetryPolicy, faults
-from repro.reliability.faults import DelayFault, FaultInjector
+from repro.reliability.faults import DelayFault, Fault, FaultInjector
 from repro.service import (
     EstimationService,
     EndpointClient,
@@ -39,6 +44,47 @@ FAULT_EVERY = 10          # every 10th request stalls ...
 FAULT_DELAY_S = 0.05      # ... for 50ms (an eternity next to ~0.1ms estimates)
 TIGHT_INFLIGHT = 4        # shedding on: at most 4 concurrent estimates
 LOOSE_INFLIGHT = 10_000   # shedding off: admit everything
+
+
+class _HoldFault(Fault):
+    """Stall a handler, holding its gate slot, until ``release`` is set."""
+
+    def __init__(self, release: threading.Event, times: int):
+        super().__init__(times=times)
+        self.release = release
+
+    def apply(self, payload):
+        self.release.wait(timeout=10.0)
+        return payload
+
+
+def _saturate(server, injector, text, release):
+    """Hold ``TIGHT_INFLIGHT`` gate slots with handlers stalled on
+    ``release`` (the injector's first ``server.handle`` calls), send one
+    more request while they are held, then let them finish."""
+    holders = [
+        threading.Thread(
+            target=EndpointClient(port=server.port).estimate, args=("SSPlays", text)
+        )
+        for _ in range(TIGHT_INFLIGHT)
+    ]
+    for thread in holders:
+        thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while injector.fired("server.handle") < TIGHT_INFLIGHT:
+            if time.monotonic() > deadline:
+                raise RuntimeError("the holding requests never reached the handler")
+            time.sleep(0.001)
+        probe = EndpointClient(port=server.port, retry=RetryPolicy(max_attempts=1))
+        try:
+            probe.estimate("SSPlays", text)
+        except ServiceError:
+            pass  # shed: every slot of a tight gate is held
+    finally:
+        release.set()
+        for thread in holders:
+            thread.join()
 
 
 def _drive_degraded(server, texts, direct):
@@ -97,11 +143,15 @@ def test_service_degraded(ctx, benchmark):
         service = EstimationService(
             registry, gate=AdmissionGate(max_inflight=max_inflight, retry_after_s=0.01)
         )
-        injector = FaultInjector().plan(
-            "server.handle", DelayFault(FAULT_DELAY_S, times=None, every=FAULT_EVERY)
+        release = threading.Event()
+        injector = (
+            FaultInjector()
+            .plan("server.handle", _HoldFault(release, times=TIGHT_INFLIGHT))
+            .plan("server.handle", DelayFault(FAULT_DELAY_S, times=None, every=FAULT_EVERY))
         )
         with faults.inject(injector):
             with ServiceServer(service, port=0) as server:
+                _saturate(server, injector, texts[0], release)
                 return _drive_degraded(server, texts, direct)
 
     # Timing kernel for the benchmark harness: one shedding-on sweep.

@@ -815,8 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--reload-interval", type=float, default=0.0,
         help="seconds between snapshot freshness checks (0 = every "
-        "request); each check re-reads and CRC32s the whole snapshot "
-        "and stats its pack",
+        "request); a check stats the snapshot and its pack and re-reads "
+        "and CRC32s the snapshot only when that stat stamp moved (or the "
+        "files changed within the last 2 s)",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,

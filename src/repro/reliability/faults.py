@@ -14,7 +14,9 @@ Sites currently wired in::
 
     persist.write      payload = snapshot text about to be written
     persist.replace    fired just before the atomic rename
-    registry.load      fired before a snapshot file is read for (re)load
+    registry.load      fired at every snapshot freshness check (before the
+                       stat stamp is taken, so also when it holds) and
+                       before a first load
     server.handle      fired at the top of every estimate request
     build.scan         fired at the start of every in-process shard scan
 

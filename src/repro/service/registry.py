@@ -4,11 +4,21 @@ A registry serves :class:`~repro.core.system.EstimationSystem` instances
 under stable names.  Two kinds of entry coexist:
 
 * **file-backed** — loaded from ``<snapshot_dir>/<name>.json`` via
-  :func:`repro.persist.loads`; ``get`` re-reads the file and reloads it
-  when its ``(mtime_ns, size, crc32)`` stamp changes — the content
-  checksum catches same-mtime overwrites that a stat-only stamp misses —
-  so a snapshot can be rewritten underneath a running server without a
-  restart.  A truncated, corrupt (embedded-checksum mismatch) or
+  :func:`repro.persist.loads`; ``get`` stats the file and its
+  ``.kernelpack`` and compares a *stat stamp* ``(st_ino, st_size,
+  st_mtime_ns, st_ctime_ns)`` of each (an absent pack is a value) with
+  the one recorded at the last full read.  Only when that stamp moved is
+  the file re-read, and it is reloaded when its ``(mtime_ns, size,
+  crc32)`` content stamp changed, so a snapshot can be rewritten
+  underneath a running server without a restart.  A stat stamp is
+  trusted only if both files' mtime and ctime were at least
+  :data:`RACY_WINDOW_NS` old when it was recorded (git's "racy git"
+  rule): a rewrite inside one mtime tick of the last read cannot then
+  hide behind an unchanged stamp, and until the files age past the
+  window every check reads and CRCs them.  ``persist`` writes by
+  temp+rename (a new inode) and ``utime`` cannot set ctime back, so an
+  in-place overwrite that restores the mtime still moves the stamp.  A
+  truncated, corrupt (embedded-checksum mismatch) or
   malformed replacement never takes down the entry: the previous
   **last-good** system keeps serving, the entry reports itself degraded
   (``describe()``, ``/healthz``) and ``reload_failures`` counts the
@@ -51,6 +61,10 @@ from repro.shm.kernelpack import PACK_SUFFIX, load_pack, pack_stamp
 
 SNAPSHOT_SUFFIX = ".json"
 
+#: How old a file's mtime and ctime must be before its stat stamp is
+#: trusted: 2 s covers the coarsest common mtime granularity (FAT).
+RACY_WINDOW_NS = 2_000_000_000
+
 
 class UnknownSynopsisError(ReproError, KeyError):
     """Requested synopsis name is not registered (and no snapshot exists).
@@ -76,6 +90,7 @@ class SynopsisEntry:
         "last_check",
         "pack_stamp",
         "packed",
+        "stat_stamp",
     )
 
     def __init__(
@@ -100,6 +115,10 @@ class SynopsisEntry:
         # retried once, not on every freshness check.
         self.pack_stamp: Optional[tuple] = None
         self.packed = False
+        # Stat stamp of the files behind the served system, recorded at
+        # the last full read; None until the files are older than the
+        # racy window (then every check reads them in full).
+        self.stat_stamp: Optional[tuple] = None
 
     @property
     def source(self) -> str:
@@ -165,29 +184,62 @@ class PinnedEntry(NamedTuple):
 
 
 def _read_snapshot(path: str) -> Tuple[str, tuple]:
-    """One read of the snapshot file: its text and its content stamp.
+    """One full read of the snapshot file: its text and its content stamp.
 
     The stamp is ``(mtime_ns, size, crc32)``; including the content
-    checksum catches editors and build pipelines that rewrite a file
-    without advancing its mtime (coarse filesystem clocks, ``mtime``
-    restoring copies), which a stat-only stamp would miss.
+    checksum keeps a touched but unchanged file (a new stat stamp, the
+    same bytes) from bumping the generation.
     """
-    faults.fire("registry.load", path)
     status = os.stat(path)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return text, (status.st_mtime_ns, status.st_size, zlib.crc32(text.encode("utf-8")))
 
 
+def _pack_path(json_path: str) -> str:
+    return json_path[: -len(SNAPSHOT_SUFFIX)] + PACK_SUFFIX
+
+
+def _file_stamp(path: str) -> Optional[tuple]:
+    """``(st_ino, st_size, st_mtime_ns, st_ctime_ns)``, or None if absent."""
+    try:
+        status = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
+
+
+def _stat_stamp(path: str) -> tuple:
+    """The stat stamp of an entry's files: the snapshot's (or the lone
+    pack's) own, plus the pack's beside a JSON snapshot."""
+    if path.endswith(PACK_SUFFIX):
+        return (_file_stamp(path),)
+    return (_file_stamp(path), _file_stamp(_pack_path(path)))
+
+
+def _trusted(stamp: tuple) -> Optional[tuple]:
+    """``stamp`` if every file in it is older than the racy window, else
+    None: a file changed within its mtime granularity of being stamped
+    could change again without moving the stamp."""
+    settled = time.time_ns() - RACY_WINDOW_NS
+    for part in stamp:
+        if part is not None and max(part[2], part[3]) > settled:
+            return None
+    return stamp
+
+
 class SynopsisRegistry:
-    """Thread-safe name → synopsis map with mtime-based hot reload.
+    """Thread-safe name → synopsis map with stat-stamp hot reload.
 
     ``check_interval`` is the number of seconds between freshness checks
-    of an entry (0 = check on every ``get``).  A check is not a bare
-    ``os.stat``: it re-reads the whole snapshot file, CRC32s it and
-    stats its pack (25 µs on a 14 KB snapshot, 110 µs on a 193 KB one,
-    on a 2-vCPU host), so a busy server may prefer ~1s.  All mutation happens under one
-    reentrant lock; estimation itself runs outside it.
+    of an entry (0 = check on every ``get``).  A check of a settled
+    snapshot is two ``os.stat`` calls (the JSON and its pack) compared
+    with the stamp of the last full read: a ``get`` costs ~5 µs on a
+    2-vCPU host whatever the snapshot's size, where a full read and
+    CRC32 costs 28 µs on a 14 KB snapshot and 130 µs on a 198 KB one.
+    The file is re-read only when that stamp moved, or while the files
+    are younger than :data:`RACY_WINDOW_NS`.  All mutation happens under
+    one reentrant lock; estimation itself runs outside it.
     """
 
     def __init__(
@@ -341,11 +393,13 @@ class SynopsisRegistry:
                     and entry.path.endswith(SNAPSHOT_SUFFIX)
                 ):
                     persist.save(outcome.system, entry.path)
+                    stat_stamp = _stat_stamp(entry.path)
                     _, entry.stamp = _read_snapshot(entry.path)
                     # The freshly written JSON is now newer than any
                     # staged pack, so the pack probe will (correctly)
                     # decline it until a new pack is staged.
-                    _, entry.pack_stamp = self._probe_pack(entry.path)
+                    entry.pack_stamp = self._probe_pack(entry.path, stat_stamp)
+                    entry.stat_stamp = _trusted(stat_stamp)
                 if self.on_reload is not None:
                     try:
                         self.on_reload(entry.name, entry)
@@ -483,9 +537,10 @@ class SynopsisRegistry:
             # interleave with a swap.
             return entry
         if entry is None:
+            faults.fire("registry.load", path)
+            stat_stamp = _stat_stamp(path)
             if path.endswith(PACK_SUFFIX):
                 # Pack-only entry: the embedded synopsis serves alone.
-                faults.fire("registry.load", path)
                 stamp = pack_stamp(path)
                 loaded = load_pack(path)
                 entry = SynopsisEntry(name, loaded.system, path=path, stamp=stamp)
@@ -493,87 +548,83 @@ class SynopsisRegistry:
                 entry.packed = True
             else:
                 text, stamp = _read_snapshot(path)
-                system, pstamp, packed = self._load_preferring_pack(path, text)
+                probe = self._probe_pack(path, stat_stamp)
+                system, packed = self._load_preferring_pack(path, text, probe)
                 entry = SynopsisEntry(name, system, path=path, stamp=stamp)
-                entry.pack_stamp = pstamp
+                entry.pack_stamp = probe
                 entry.packed = packed
+            entry.stat_stamp = _trusted(stat_stamp)
             entry.last_check = self._clock()
             self._entries[name] = entry
             return entry
         self._maybe_reload(entry, force=True)
         return entry
 
-    def _probe_pack(self, json_path: str) -> Tuple[str, Optional[tuple]]:
-        """The pack sitting beside a JSON snapshot, if it should be used.
+    def _probe_pack(self, json_path: str, stat_stamp: tuple) -> Optional[tuple]:
+        """The stamp of the pack beside a JSON snapshot, if it should be
+        used.
 
-        Returns ``(pack_path, stamp)`` with ``stamp`` None when there is
-        no usable pack (absent, or older than the JSON — a stale pack
-        must not shadow a newer snapshot).  A pack whose header cannot
-        even be read yields a surrogate stamp from its stat, so the same
-        corrupt bytes are rejected once rather than re-tried on every
-        freshness check.
+        ``stat_stamp`` is the entry's fresh :func:`_stat_stamp`, so the
+        files are not statted again.  None when there is no usable pack
+        (absent, or older than the JSON — a stale pack must not shadow a
+        newer snapshot).  A pack whose header cannot even be read yields a
+        surrogate stamp from its stat, so the same corrupt bytes are
+        rejected once rather than re-tried on every freshness check.
         """
-        pack_path = json_path[: -len(SNAPSHOT_SUFFIX)] + PACK_SUFFIX
+        json_stat, pack_stat = stat_stamp
+        if pack_stat is None or (json_stat is not None and pack_stat[2] < json_stat[2]):
+            return None
         try:
-            pack_stat = os.stat(pack_path)
-        except OSError:
-            return pack_path, None
-        try:
-            if pack_stat.st_mtime_ns < os.stat(json_path).st_mtime_ns:
-                return pack_path, None
-        except OSError:
-            pass  # JSON vanished; the pack is all there is
-        try:
-            return pack_path, pack_stamp(pack_path)
+            return pack_stamp(_pack_path(json_path))
         except (PersistError, OSError):
-            return pack_path, (
-                "unreadable", pack_stat.st_mtime_ns, pack_stat.st_size,
-            )
+            return ("unreadable", pack_stat[2], pack_stat[1])
 
     def _load_preferring_pack(
-        self, json_path: str, text: str
-    ) -> Tuple[EstimationSystem, Optional[tuple], bool]:
+        self, json_path: str, text: str, probe: Optional[tuple]
+    ) -> Tuple[EstimationSystem, bool]:
         """Load a system for a JSON-backed entry, preferring its staged
-        pack; returns ``(system, pack_stamp, packed)``.
+        pack (``probe`` from :meth:`_probe_pack`); returns ``(system,
+        packed)``.
 
         A rejected pack (corrupt, truncated, version mismatch) falls back
         to the JSON text and lazy in-process kernel compilation — the
         pack is an accelerator, never a point of failure.
         """
-        pack_path, probe = self._probe_pack(json_path)
         if probe is not None:
             try:
-                loaded = load_pack(pack_path)
-                return loaded.system, probe, True
+                return load_pack(_pack_path(json_path)).system, True
             except (PersistError, OSError):
                 self.pack_failures += 1
-        return persist.loads(text), probe, False
+        return persist.loads(text), False
 
     def _maybe_reload(self, entry: SynopsisEntry, force: bool = False) -> None:
         now = self._clock()
         if not force and now - entry.last_check < self.check_interval:
             return
         entry.last_check = now
-        if entry.path is not None and entry.path.endswith(PACK_SUFFIX):
-            self._maybe_reload_pack_only(entry)
-            return
+        path: str = entry.path  # type: ignore[assignment]
         try:
-            text, stamp = _read_snapshot(entry.path)  # type: ignore[arg-type]
+            faults.fire("registry.load", path)
+            stat_stamp = _stat_stamp(path)
+            if stat_stamp == entry.stat_stamp:
+                # Disk matches what we serve; a transient read failure (if
+                # any) is over, so the entry is healthy again.
+                entry.load_error = None
+                return
+            if path.endswith(PACK_SUFFIX):
+                self._maybe_reload_pack_only(entry, stat_stamp)
+                return
+            text, stamp = _read_snapshot(path)
         except OSError as error:
-            # Snapshot deleted or unreadable mid-flight: keep serving the
-            # last-good system, degraded.
-            if entry.load_error is None:
-                self.reload_failures += 1
-            entry.load_error = "snapshot unreadable: %s" % error
+            self._unreadable(entry, error)
             return
-        _, probe = self._probe_pack(entry.path)  # type: ignore[arg-type]
+        probe = self._probe_pack(path, stat_stamp)
         if stamp == entry.stamp and probe == entry.pack_stamp:
-            # Disk matches what we serve; a transient read failure (if
-            # any) is over, so the entry is healthy again.
             entry.load_error = None
+            entry.stat_stamp = _trusted(stat_stamp)
             return
         try:
-            system, pstamp, packed = self._load_preferring_pack(entry.path, text)
+            system, packed = self._load_preferring_pack(path, text, probe)
         except PersistError as error:
             # Truncated, corrupt (checksum mismatch) or malformed
             # replacement: keep the last-good system and surface the
@@ -586,22 +637,20 @@ class SynopsisRegistry:
             entry.load_error = "reload failed: %s" % error
             entry.pack_stamp = probe
             return
-        self._swap(entry, system, stamp, pstamp, packed)
+        self._swap(entry, system, stamp, probe, packed, stat_stamp)
 
-    def _maybe_reload_pack_only(self, entry: SynopsisEntry) -> None:
-        """Freshness check for an entry served from a pack with no JSON
-        twin: the stamp is the pack's own (read from its 24-byte header,
-        no full-file hash)."""
+    def _maybe_reload_pack_only(self, entry: SynopsisEntry, stat_stamp: tuple) -> None:
+        """Full check of an entry served from a pack with no JSON twin:
+        the stamp is the pack's own (read from its 24-byte header, no
+        full-file hash)."""
         try:
-            faults.fire("registry.load", entry.path)
             stamp = pack_stamp(entry.path)  # type: ignore[arg-type]
         except (PersistError, OSError) as error:
-            if entry.load_error is None:
-                self.reload_failures += 1
-            entry.load_error = "snapshot unreadable: %s" % error
+            self._unreadable(entry, error)
             return
         if stamp == entry.stamp:
             entry.load_error = None
+            entry.stat_stamp = _trusted(stat_stamp)
             return
         try:
             loaded = load_pack(entry.path)  # type: ignore[arg-type]
@@ -611,7 +660,14 @@ class SynopsisRegistry:
                 self.reload_failures += 1
             entry.load_error = "reload failed: %s" % error
             return
-        self._swap(entry, loaded.system, stamp, stamp, True)
+        self._swap(entry, loaded.system, stamp, stamp, True, stat_stamp)
+
+    def _unreadable(self, entry: SynopsisEntry, error: Exception) -> None:
+        """Snapshot deleted or unreadable mid-flight: keep serving the
+        last-good system, degraded."""
+        if entry.load_error is None:
+            self.reload_failures += 1
+        entry.load_error = "snapshot unreadable: %s" % error
 
     def _swap(
         self,
@@ -620,12 +676,14 @@ class SynopsisRegistry:
         stamp: tuple,
         pstamp: Optional[tuple],
         packed: bool,
+        stat_stamp: tuple,
     ) -> None:
         previous = entry.system
         entry.system = system
         entry.stamp = stamp
         entry.pack_stamp = pstamp
         entry.packed = packed
+        entry.stat_stamp = _trusted(stat_stamp)
         entry.generation += 1
         entry.load_error = None
         # Stale-kernel guard: the swapped-out system's compiled kernel

@@ -59,6 +59,51 @@ class TestContentLength:
         assert "Content-Length" in body["error"]["message"]
 
 
+class TestFraming:
+    """Request framings the front cannot honour are refused and the
+    connection closed, so no body byte is read as a next request."""
+
+    def test_differing_content_lengths_are_a_typed_400(self, kind, front):
+        raw = exchange(
+            front.port,
+            request_bytes(
+                "POST", POST_PATH[kind], BODY,
+                [("Content-Length", "5"), ("Content-Length", str(len(BODY)))],
+            ),
+        )
+        status, headers, body = only_reply(raw)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert body["error"]["kind"] == "bad_request"
+        assert "Content-Length" in body["error"]["message"]
+
+    def test_identical_duplicate_content_lengths_are_accepted(self, front):
+        length = str(len(BODY))
+        raw = exchange(
+            front.port,
+            request_bytes(
+                "POST", "/nowhere", BODY,
+                [("Content-Length", length), ("content-length", " %s " % length)],
+            ),
+        )
+        status, _, body = only_reply(raw)
+        assert status == 404  # framed and dispatched, not refused
+        assert body["error"]["kind"] == "not_found"
+
+    def test_transfer_encoding_is_a_typed_501(self, kind, front):
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(BODY), BODY)
+        raw = exchange(
+            front.port,
+            request_bytes(
+                "POST", POST_PATH[kind], chunked, [("Transfer-Encoding", "chunked")]
+            ),
+        )
+        status, headers, body = only_reply(raw)
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert body["error"]["kind"] == "bad_request"
+
+
 class TestReadDeadline:
     @pytest.mark.parametrize("kind", ["router", "control"])
     def test_stalled_body_gets_408(self, kind, snapshot_dir):

@@ -7,6 +7,8 @@ import pytest
 
 from repro import EstimationSystem, persist
 from repro.service import SynopsisRegistry, UnknownSynopsisError
+from repro.service import registry as registry_module
+from repro.shm import PACK_SUFFIX, write_pack
 from repro.build.stream import scan_text
 from repro.xmltree.builder import el
 from repro.xmltree.document import XmlDocument
@@ -137,6 +139,120 @@ class TestHotReload:
         # Past the interval: the change is noticed.
         fake[0] = 20.0
         assert registry.get("fig1").generation == 2
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """Paths handed to the full snapshot read, in order."""
+    seen = []
+    real = registry_module._read_snapshot
+
+    def counting(path):
+        seen.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(registry_module, "_read_snapshot", counting)
+    return seen
+
+
+def _frozen_clock(monkeypatch, mtime_ns):
+    """Files whose mtime and ctime all read ``mtime_ns``: a filesystem
+    whose clock does not tick between two writes."""
+    real = registry_module._file_stamp
+
+    def frozen(path):
+        stamp = real(path)
+        return None if stamp is None else stamp[:2] + (mtime_ns, mtime_ns)
+
+    monkeypatch.setattr(registry_module, "_file_stamp", frozen)
+
+
+def _same_size_garbage(path):
+    """Bytes of the file's length that do not load (checksum mismatch)."""
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    middle = len(data) // 2
+    data[middle] = ord("0") if data[middle] != ord("0") else ord("1")
+    return bytes(data)
+
+
+class TestStatStamp:
+    def test_settled_snapshot_is_not_reread(self, snapshot_dir, reads, monkeypatch):
+        monkeypatch.setattr(registry_module, "RACY_WINDOW_NS", 0)
+        registry = SynopsisRegistry(str(snapshot_dir))
+        registry.scan()
+        assert sorted(reads) == ["SSPlays.json", "fig1.json"]
+        for _ in range(5):
+            assert registry.get("fig1").generation == 1
+        assert sorted(reads) == ["SSPlays.json", "fig1.json"]
+
+    def test_racy_snapshot_is_reread(self, snapshot_dir, reads):
+        # Freshly written files are inside the racy window: their stamp is
+        # not trusted, so every check reads them in full.
+        registry = SynopsisRegistry(str(snapshot_dir))
+        registry.scan()
+        registry.get("fig1")
+        registry.get("fig1")
+        assert reads.count("fig1.json") == 3
+
+    def test_same_mtime_in_place_rewrite_inside_racy_window(
+        self, snapshot_dir, monkeypatch
+    ):
+        # Same inode, same size, and a clock that did not tick: the stat
+        # stamp cannot move.  The file was stamped inside the racy
+        # window, so the check reads it and its checksum gives it away.
+        _frozen_clock(monkeypatch, time.time_ns())
+        registry = SynopsisRegistry(str(snapshot_dir))
+        registry.scan()
+        path = str(snapshot_dir / "fig1.json")
+        data = _same_size_garbage(path)
+        with open(path, "r+b") as handle:
+            handle.write(data)
+        entry = registry.get("fig1")
+        assert entry.generation == 1
+        assert "reload failed" in entry.load_error
+
+    def test_renamed_replacement_with_same_size_and_mtime(
+        self, snapshot_dir, monkeypatch
+    ):
+        # A settled stamp (times far in the past) is trusted; a temp+rename
+        # replacement with identical size and times still has a new inode.
+        _frozen_clock(monkeypatch, 1_000_000_000)
+        registry = SynopsisRegistry(str(snapshot_dir))
+        registry.scan()
+        path = str(snapshot_dir / "fig1.json")
+        data = _same_size_garbage(path)
+        with open(path + ".tmp", "wb") as handle:
+            handle.write(data)
+        os.replace(path + ".tmp", path)
+        entry = registry.get("fig1")
+        assert entry.generation == 1
+        assert "reload failed" in entry.load_error
+
+    def test_staged_and_removed_pack_is_picked_up(
+        self, snapshot_dir, ssplays_system, reads, monkeypatch
+    ):
+        monkeypatch.setattr(registry_module, "RACY_WINDOW_NS", 0)
+        # An older JSON, so that the pack staged below is the newer file.
+        _touch(str(snapshot_dir / "SSPlays.json"), -10_000_000_000)
+        registry = SynopsisRegistry(str(snapshot_dir))
+        registry.scan()
+        assert not registry.get("SSPlays").packed
+        assert reads.count("SSPlays.json") == 1
+
+        pack = str(snapshot_dir / ("SSPlays" + PACK_SUFFIX))
+        write_pack(pack, system=ssplays_system, name="SSPlays")
+        entry = registry.get("SSPlays")
+        assert entry.packed and entry.generation == 2
+        assert registry.get("SSPlays").generation == 2
+
+        os.unlink(pack)
+        entry = registry.get("SSPlays")
+        assert not entry.packed and entry.generation == 3
+        assert entry.system.estimate("//PLAY/ACT") == ssplays_system.estimate("//PLAY/ACT")
+        assert registry.get("SSPlays").generation == 3
+        # One full read per stamp the pair of files went through.
+        assert reads.count("SSPlays.json") == 3
 
 
 def _library_document():
